@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"hswsim/internal/workload"
 )
 
 // TestPublicQuickstart exercises the README quickstart path end to end
@@ -59,7 +61,7 @@ func TestPublicKernels(t *testing.T) {
 		if KernelName(k) == "" {
 			t.Errorf("kernel with empty name: %#v", k)
 		}
-		if err := k.ProfileAt(0).Validate(); err != nil {
+		if err := workload.ProfileOf(k, 0).Validate(); err != nil {
 			t.Errorf("%s: %v", KernelName(k), err)
 		}
 	}

@@ -44,7 +44,7 @@ func wsmModel(t *testing.T) *Model {
 func streamLoads(m *Model, k workload.Kernel, cores, threads int, ghz float64) []CoreLoad {
 	loads := make([]CoreLoad, cores)
 	for i := range loads {
-		loads[i] = CoreLoad{CoreID: i, FreqGHz: ghz, Threads: threads, Prof: k.ProfileAt(0)}
+		loads[i] = CoreLoad{CoreID: i, FreqGHz: ghz, Threads: threads, Prof: workload.ProfileOf(k, 0)}
 	}
 	return loads
 }
@@ -206,7 +206,7 @@ func TestComputeKernelUnaffectedByMemoryContention(t *testing.T) {
 	m := hswModel(t)
 	// Mix: one compute core among eleven DRAM streamers.
 	loads := streamLoads(m, workload.MemStream(), 12, 2, 2.5)
-	loads[0].Prof = workload.Compute().ProfileAt(0)
+	loads[0].Prof = workload.ProfileOf(workload.Compute(), 0)
 	res := m.Solve(loads, 3.0)
 	if res[0].Rate != res[0].UnconstrainedRate {
 		t.Errorf("compute core throttled by others' DRAM traffic: %+v", res[0])
@@ -312,10 +312,10 @@ func TestNUMAKernelName(t *testing.T) {
 	if got := workload.NUMAStream(0.5).Name(); got != "DRAM read (50% remote)" {
 		t.Errorf("name = %q", got)
 	}
-	if workload.NUMAStream(-1).ProfileAt(0).RemoteMemFrac != 0 {
+	if workload.ProfileOf(workload.NUMAStream(-1), 0).RemoteMemFrac != 0 {
 		t.Error("negative remote fraction not clamped")
 	}
-	if workload.NUMAStream(2).ProfileAt(0).RemoteMemFrac != 1 {
+	if workload.ProfileOf(workload.NUMAStream(2), 0).RemoteMemFrac != 1 {
 		t.Error("excess remote fraction not clamped")
 	}
 }

@@ -22,7 +22,7 @@ func fuzzLoads(m *Model, nCores, mix uint8, fcSel uint8) []CoreLoad {
 			CoreID:  i,
 			FreqGHz: freqs[(int(fcSel)+i)%len(freqs)],
 			Threads: 1 + (int(mix)+i)%2,
-			Prof:    kernels[(int(mix)+i)%len(kernels)].ProfileAt(0),
+			Prof:    workload.ProfileOf(kernels[(int(mix)+i)%len(kernels)], 0),
 		}
 	}
 	return loads
@@ -104,7 +104,7 @@ func TestPropertyCoreFreqMonotoneAlone(t *testing.T) {
 		}
 		prev := -1.0
 		for _, fc := range []float64{1.2, 1.6, 2.0, 2.5, 3.0, 3.3} {
-			res := m.Solve([]CoreLoad{{CoreID: 0, FreqGHz: fc, Threads: th, Prof: k.ProfileAt(0)}}, 3.0)
+			res := m.Solve([]CoreLoad{{CoreID: 0, FreqGHz: fc, Threads: th, Prof: workload.ProfileOf(k, 0)}}, 3.0)
 			if res[0].Rate+1e-6 < prev {
 				return false
 			}
@@ -127,7 +127,7 @@ func TestPropertyConcurrencyMonotone(t *testing.T) {
 		for n := 1; n <= spec.Cores; n++ {
 			loads := make([]CoreLoad, n)
 			for i := range loads {
-				loads[i] = CoreLoad{CoreID: i, FreqGHz: 2.5, Threads: 2, Prof: k.ProfileAt(0)}
+				loads[i] = CoreLoad{CoreID: i, FreqGHz: 2.5, Threads: 2, Prof: workload.ProfileOf(k, 0)}
 			}
 			res := m.Solve(loads, 3.0)
 			bw := TotalL3GBs(res) + TotalMemGBs(res)

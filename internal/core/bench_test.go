@@ -47,6 +47,31 @@ func BenchmarkSystemRunSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkSystemRunVarying measures one millisecond of virtual time
+// with mprime on every CPU and Hyper-Threading off, as in a Table V
+// point: the time-varying profile path (one profile evaluation per
+// socket per segment, full integration segments) that dominates the
+// experiment suite.
+func BenchmarkSystemRunVarying(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.HyperThreading = false
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for cpu := 0; cpu < sys.CPUs(); cpu++ {
+		if err := sys.AssignKernel(cpu, workload.Mprime(), 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sys.Run(20 * sim.Millisecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Run(sim.Millisecond)
+	}
+}
+
 // BenchmarkSystemRunIdle measures the all-idle platform (both packages
 // in deep sleep): the floor every idle-power measurement pays.
 func BenchmarkSystemRunIdle(b *testing.B) {

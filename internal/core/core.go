@@ -66,19 +66,19 @@ type Core struct {
 	// resid accumulates p-state/c-state residency (cpufreq-stats view).
 	resid residency
 
-	// Profile memo: profileNow is called several times per segment with
-	// the same timestamp (telemetry + integration).
-	profCacheAt  sim.Time
-	profCacheOK  bool
-	profCacheVal workload.Profile
-
-	// Constant-kernel memo (workload.ConstantKernel): the profile can
-	// never drift, so the steady-segment check and the telemetry loop
-	// skip the ProfileAt call and the 96-byte Profile copy entirely.
-	// profAVX/profMem cache the two profile predicates telemetry needs.
-	constProf bool
-	profAVX   bool
-	profMem   bool
+	// Profile horizon cache: prof is the kernel's profile over the
+	// kernel-relative window [profFrom, profUntil) (see
+	// workload.Kernel.ProfileAt); an empty window means not evaluated.
+	// profGen is a socket-unique stamp of the evaluation, so the
+	// integrator can tell that the copy in its load entry (stamped
+	// loadGen) is still current without comparing 96 bytes.
+	prof                workload.Profile
+	profFrom, profUntil sim.Time
+	profGen, loadGen    uint64
+	// profLead indexes the socket core whose cache this core reads:
+	// cores running equal kernels from the same start time share one
+	// evaluation (see Socket.shareProfiles).
+	profLead int
 }
 
 func newCore(sk *Socket, index int, voltOffset float64) *Core {
@@ -121,27 +121,12 @@ func (c *Core) assign(now sim.Time, k workload.Kernel, threads int) {
 	c.kernel = k
 	c.kernStart = now
 	c.threads = threads
-	c.profCacheOK = false
-	c.constProf = false
-	if ck, ok := k.(workload.ConstantKernel); ok {
-		p := ck.ConstantProfile()
-		c.constProf = true
-		c.profCacheVal, c.profCacheOK = p, true
-		c.profAVX = p.AVXFrac > 0
-		c.profMem = p.MemoryBound()
-	}
+	c.profFrom, c.profUntil = 0, 0
+	c.sk.shareProfiles()
 	c.sk.markDirty()
 	c.sk.sys.maxReqValid = false
 	c.sk.telChanged()
 	c.sk.loadsStale = true
-	cacheable := true
-	for _, cc := range c.sk.cores {
-		if cc.kernel != nil && !cc.constProf {
-			cacheable = false
-			break
-		}
-	}
-	c.sk.telCacheable = cacheable
 	if k == nil {
 		prev := c.cstateNow
 		c.cstateNow = c.sk.sys.cfg.IdleState
@@ -161,28 +146,44 @@ func (c *Core) assign(now sim.Time, k workload.Kernel, threads int) {
 		}
 	}
 	c.cstateNow = cstate.C0
-	if k.ProfileAt(0).AVXFrac > 0 && !c.avxMode {
+	if workload.ProfileOf(k, 0).AVXFrac > 0 && !c.avxMode {
 		// First 256-bit ops: reduced throughput until the PCU grants the
 		// AVX voltage at a following grid tick.
 		c.avxSlowUntil = now + 500*sim.Microsecond
 	}
 }
 
-// profileNow returns the kernel profile at time t.
-func (c *Core) profileNow(t sim.Time) workload.Profile {
-	if c.kernel == nil {
-		return workload.Profile{}
+// profileNow returns the profile of the core's kernel at time t and
+// its evaluation stamp. The core must be running a kernel. The kernel
+// is evaluated only when t leaves the cached horizon window; the
+// reference path (debugForceFullIntegration) evaluates on every call
+// and never shares.
+func (c *Core) profileNow(t sim.Time) (*workload.Profile, uint64) {
+	l := c
+	if !debugForceFullIntegration {
+		l = c.sk.cores[c.profLead]
 	}
-	if c.profCacheOK && (c.constProf || c.profCacheAt == t) {
-		return c.profCacheVal
-	}
-	rel := t - c.kernStart
+	rel := t - l.kernStart
 	if rel < 0 {
 		rel = 0
 	}
-	p := c.kernel.ProfileAt(rel)
-	c.profCacheAt, c.profCacheVal, c.profCacheOK = t, p, true
-	return p
+	if debugForceFullIntegration || rel < l.profFrom || rel >= l.profUntil {
+		l.profFrom = rel
+		l.profUntil = l.kernel.ProfileAt(rel, &l.prof)
+		l.sk.profGen++
+		l.profGen = l.sk.profGen
+	}
+	return &l.prof, l.profGen
+}
+
+// profileEnd returns the absolute time at which the profile last
+// returned by profileNow may change.
+func (c *Core) profileEnd() sim.Time {
+	l := c.sk.cores[c.profLead]
+	if l.profUntil > workload.Forever-l.kernStart {
+		return workload.Forever
+	}
+	return l.kernStart + l.profUntil
 }
 
 // slowdown returns the current execution multiplier (AVX voltage ramp).

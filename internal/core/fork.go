@@ -370,6 +370,9 @@ func (sk *Socket) forkInto(nk *Socket, sys *System) {
 	nk.Power.ResetScratch()
 	nk.loadsBuf, nk.coresBuf, nk.statesBuf, nk.resultsBuf, nk.telCores =
 		loadsBuf, coresBuf, statesBuf, resultsBuf, telCores
+	// The harvested load entries are the old child's: rebuild them on
+	// the first full segment rather than refreshing them in place.
+	nk.loadsStale = true
 	// The harvested telemetry buffer holds the old child's values, not
 	// the parent's: force a rebuild on the child's first grid tick.
 	nk.telBuilt = 0

@@ -330,6 +330,48 @@ func TestForkReleaseReuse(t *testing.T) {
 	}
 }
 
+// TestForkReuseAfterReassign recycles a child that ran different
+// kernels on the same active cores: the recycled child's harvested
+// load entries hold those kernels' profiles, and must not leak into
+// the next fork's first segment.
+func TestForkReuseAfterReassign(t *testing.T) {
+	sys := forkScenario(t, func(s *System) {
+		for cpu := 0; cpu < 12; cpu++ {
+			if err := s.AssignKernel(cpu, workload.Firestarter(), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Run(20 * sim.Millisecond)
+	})
+	c1, err := sys.Fork()
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	for cpu := 0; cpu < 12; cpu++ {
+		if err := c1.AssignKernel(cpu, workload.Memory(), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c1.Run(5 * sim.Millisecond)
+	c1.Release()
+	reused, err := sys.Fork()
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	if reused != c1 {
+		t.Fatal("fork after Release did not reuse the released child's storage")
+	}
+	fresh, err := sys.Fork()
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	reused.Run(5 * sim.Millisecond)
+	fresh.Run(5 * sim.Millisecond)
+	if got, want := fingerprint(t, reused), fingerprint(t, fresh); !reflect.DeepEqual(got, want) {
+		t.Errorf("reused child diverged from a fresh child:\nreused: %+v\nfresh:  %+v", got, want)
+	}
+}
+
 func TestForkReleaseConcurrentStress(t *testing.T) {
 	sys := forkScenario(t, func(s *System) {
 		for cpu := 0; cpu < s.CPUs(); cpu += 4 {

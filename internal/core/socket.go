@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+
 	"hswsim/internal/cache"
 	"hswsim/internal/cstate"
 	"hswsim/internal/eprof"
@@ -13,6 +15,7 @@ import (
 	"hswsim/internal/sim"
 	"hswsim/internal/trace"
 	"hswsim/internal/uarch"
+	"hswsim/internal/workload"
 )
 
 // Socket is one processor package.
@@ -109,17 +112,21 @@ type Socket struct {
 	// that can move a per-core telemetry field (kernel assignment,
 	// c-state change, p-state request, EPB write, a full integration
 	// segment refreshing the stall fractions). While the version holds
-	// and every active core runs a constant-profile kernel
-	// (telCacheable), the per-core telemetry slice is reused as-is and
-	// the PCU is told so (Telemetry.Unchanged), skipping both the
-	// rebuild and the PCU's own per-core comparison. telBuilt == 0 means
-	// never built (versions start at 1); forkInto resets it because the
-	// harvested child buffer holds stale contents.
-	telVersion   uint64
-	telBuilt     uint64
-	telCacheable bool
-	telMemSt     bool
-	telSysMax    uarch.MHz
+	// and no active core's profile has reached its horizon (telUntil,
+	// the earliest one at the last rebuild), the per-core telemetry
+	// slice is reused as-is and the PCU is told so
+	// (Telemetry.Unchanged), skipping both the rebuild and the PCU's own
+	// per-core comparison. telBuilt == 0 means never built (versions
+	// start at 1); forkInto resets it because the harvested child
+	// buffer holds stale contents.
+	telVersion uint64
+	telBuilt   uint64
+	telUntil   sim.Time
+	telMemSt   bool
+	telSysMax  uarch.MHz
+
+	// profGen stamps core profile evaluations (Core.profGen).
+	profGen uint64
 }
 
 // telChanged invalidates the cached per-core telemetry.
@@ -177,8 +184,35 @@ func newSocket(sys *System, index int, topo *ring.Topology) *Socket {
 	}
 	sk.opDirty = true
 	sk.telVersion = 1
-	sk.telCacheable = true
 	return sk
+}
+
+// shareProfiles points every core at the profile cache it reads: the
+// lowest-indexed core running an equal kernel from the same start time
+// (itself if none). ProfileAt is a pure function of relative time, so
+// such cores would evaluate identical profiles. Runs on kernel
+// assignment, off the integration path.
+func (sk *Socket) shareProfiles() {
+	for i, c := range sk.cores {
+		c.profLead = i
+		if c.kernel == nil {
+			continue
+		}
+		for j, o := range sk.cores[:i] {
+			if o.profLead == j && o.kernStart == c.kernStart && sameKernel(o.kernel, c.kernel) {
+				c.profLead = j
+				break
+			}
+		}
+	}
+}
+
+// sameKernel reports whether a and b are equal kernel values. Kernels
+// of a non-comparable dynamic type are never equal (comparing them
+// would panic).
+func sameKernel(a, b workload.Kernel) bool {
+	ta := reflect.TypeOf(a)
+	return ta == reflect.TypeOf(b) && ta.Comparable() && a == b
 }
 
 // Cores returns the socket's core count.
@@ -296,24 +330,28 @@ func (sk *Socket) telemetry(now sim.Time) pcu.Telemetry {
 		TempC:               sk.Power.TempC(),
 		SystemMaxRequestMHz: sk.sys.maxActiveRequest(),
 	}
-	if sk.telCacheable && sk.telBuilt == sk.telVersion &&
+	if sk.telBuilt == sk.telVersion && now < sk.telUntil &&
 		tel.SystemMaxRequestMHz == sk.telSysMax {
-		// Constant-profile kernels and an unchanged version: the per-core
-		// slice still holds exactly what this function would rebuild.
+		// Unchanged version and every profile inside its horizon: the
+		// per-core slice still holds exactly what this function would
+		// rebuild.
 		tel.MemoryStalls = sk.telMemSt
 		tel.Unchanged = true
 		return tel
+	}
+	until := workload.Forever
+	if debugForceFullIntegration {
+		until = now // the reference path rebuilds on every tick
 	}
 	for i, c := range sk.cores {
 		active := c.cstateNow == cstate.C0 && c.kernel != nil
 		avxNow, memBound := false, false
 		if active {
-			if c.constProf {
-				avxNow, memBound = c.profAVX, c.profMem
-			} else {
-				prof := c.profileNow(now)
-				avxNow = prof.AVXFrac > 0
-				memBound = prof.MemoryBound()
+			prof, _ := c.profileNow(now)
+			avxNow = prof.AVXFrac > 0
+			memBound = prof.MemoryBound()
+			if end := c.profileEnd(); end < until {
+				until = end
 			}
 		}
 		tel.Cores[i] = pcu.CoreTelemetry{
@@ -328,6 +366,7 @@ func (sk *Socket) telemetry(now sim.Time) pcu.Telemetry {
 		}
 	}
 	sk.telBuilt = sk.telVersion
+	sk.telUntil = until
 	sk.telMemSt = tel.MemoryStalls
 	sk.telSysMax = tel.SystemMaxRequestMHz
 	return tel
@@ -356,9 +395,12 @@ func (sk *Socket) integrate(from sim.Time, dt sim.Time) float64 {
 	return sk.integrateFull(from, dt)
 }
 
-// debugForceFullIntegration disables the steady-segment replay (test
-// seam: the bitwise-equivalence test runs the same scenario with and
-// without it and requires identical output).
+// debugForceFullIntegration disables the steady-segment replay, the
+// in-place load refresh, the profile horizon cache, cross-core profile
+// sharing and the horizon-bounded telemetry reuse, so every use of a
+// profile calls Kernel.ProfileAt (test seam: the bitwise-equivalence
+// test runs the same scenario with and without it and requires
+// identical output).
 var debugForceFullIntegration = false
 
 // steadyAt reports whether the memoized operating point still holds at
@@ -370,10 +412,15 @@ func (sk *Socket) steadyAt(from sim.Time) bool {
 		if c.slowdown() != c.lastSD {
 			return false
 		}
-		// Constant kernels cannot drift; only phase-varying profiles need
-		// the (96-byte) compare against the memoized load.
-		if !c.constProf && c.profileNow(from) != sk.loadsBuf[j].Prof {
-			return false
+		// A load entry copied from the current evaluation is current
+		// until the profile's horizon; only a fresh evaluation needs the
+		// (96-byte) compare.
+		prof, gen := c.profileNow(from)
+		if gen != c.loadGen {
+			if *prof != sk.loadsBuf[j].Prof {
+				return false
+			}
+			c.loadGen = gen
 		}
 	}
 	return true
@@ -416,11 +463,11 @@ func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
 	// set is pointer-identical to the previous full segment (the common
 	// case: the PCU regranting frequencies under a power cap), the load
 	// entries are refreshed in place — frequency and threads always,
-	// profile only for phase-varying kernels — instead of re-copying
-	// every 96-byte Profile through a rebuild.
+	// profile only when it was re-evaluated since the entry was written
+	// — instead of re-copying every 96-byte Profile through a rebuild.
 	old := sk.coresBuf
 	loadCores := sk.coresBuf[:0]
-	same := !sk.loadsStale
+	same := !sk.loadsStale && !debugForceFullIntegration
 	for _, c := range sk.cores {
 		if c.cstateNow == cstate.C0 && c.kernel != nil {
 			if j := len(loadCores); same && (j >= len(old) || old[j] != c) {
@@ -435,19 +482,22 @@ func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
 		for j, c := range loadCores {
 			loads[j].FreqGHz = c.dom.Granted().GHz()
 			loads[j].Threads = c.threads
-			if !c.constProf {
-				loads[j].Prof = c.profileNow(from)
+			if prof, gen := c.profileNow(from); gen != c.loadGen {
+				loads[j].Prof = *prof
+				c.loadGen = gen
 			}
 		}
 	} else {
 		loads = sk.loadsBuf[:0]
 		for _, c := range loadCores {
+			prof, gen := c.profileNow(from)
 			loads = append(loads, cache.CoreLoad{
 				CoreID:  c.Index,
 				FreqGHz: c.dom.Granted().GHz(),
 				Threads: c.threads,
-				Prof:    c.profileNow(from),
+				Prof:    *prof,
 			})
+			c.loadGen = gen
 		}
 	}
 	sk.loadsBuf, sk.coresBuf = loads, loadCores

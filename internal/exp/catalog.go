@@ -61,7 +61,7 @@ func KernelCatalogStudy(o Options) ([]KernelCharacter, *report.Table, error) {
 			return KernelCharacter{}, err
 		}
 		c := KernelCharacter{Name: k.Name()}
-		prof := k.ProfileAt(0)
+		prof := workload.ProfileOf(k, 0)
 		gips := 0.0
 		for cpu := 0; cpu < 12; cpu++ {
 			iv := perfctr.Delta(snap[cpu], sys.Core(cpu).Snapshot())

@@ -72,7 +72,7 @@ func DCTOptimize(sys func() (*core.System, error), k workload.Kernel,
 			for cpu := 0; cpu < cores; cpu++ {
 				iv := perfctr.Delta(before[cpu], s.Core(cpu).Snapshot())
 				gips += iv.GIPS()
-				gbs += iv.GIPS() * k.ProfileAt(0).MemBytesPerInst
+				gbs += iv.GIPS() * workload.ProfileOf(k, 0).MemBytesPerInst
 			}
 			pkgW, dramW, err := s.RAPLPowerW(ra, rb)
 			if err != nil {

@@ -162,7 +162,7 @@ func (s *Scheduler) poll(cpu int) {
 	// poll may fire early and reschedule, but never detects completion
 	// grossly late. Capping the interval bounds detection latency while
 	// the clock ramps.
-	prof := r.task.Kernel.ProfileAt(0)
+	prof := workload.ProfileOf(r.task.Kernel, 0)
 	ipc := prof.IPC1
 	if r.task.Threads >= 2 {
 		ipc = prof.IPC2

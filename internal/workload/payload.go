@@ -282,7 +282,7 @@ func (p *Payload) Stats() PayloadStats {
 // anchored at the measured IPC values (3.1 with HT, 2.8 without, at the
 // Table IV operating point).
 func (st PayloadStats) DeriveProfile() Profile {
-	ref := Firestarter().ProfileAt(0)
+	ref := ProfileOf(Firestarter(), 0)
 	return Profile{
 		IPC1:            ref.IPC1,
 		IPC2:            ref.IPC2,

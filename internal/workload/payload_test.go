@@ -93,7 +93,7 @@ func TestPayloadDerivedProfileMatchesKernel(t *testing.T) {
 	// profile derived from an actual generated payload.
 	p := GeneratePayload(HaswellICache(), 1000)
 	derived := p.Stats().DeriveProfile()
-	ref := Firestarter().ProfileAt(0)
+	ref := ProfileOf(Firestarter(), 0)
 	if math.Abs(derived.L3BytesPerInst-ref.L3BytesPerInst) > 0.01 {
 		t.Errorf("L3 traffic: derived %.4f vs kernel %.4f B/inst", derived.L3BytesPerInst, ref.L3BytesPerInst)
 	}
@@ -107,7 +107,7 @@ func TestPayloadDerivedProfileMatchesKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := FirestarterFromPayload(p)
-	if k.ProfileAt(0) != derived {
+	if ProfileOf(k, 0) != derived {
 		t.Error("kernel wrapper lost the derived profile")
 	}
 }

@@ -13,6 +13,14 @@
 // LINPACK phases, mprime's drift) — the paper exploits exactly this
 // distinction when it notes FIRESTARTER's "extremely constant power
 // consumption patterns" against mprime's variability.
+//
+// Every kernel reports that distinction itself: Kernel.ProfileAt
+// returns, with the profile, its horizon — the first time at which the
+// profile may differ. Constant kernels (the static microbenchmarks,
+// FIRESTARTER) answer Forever, piecewise kernels (LINPACK, Phased,
+// Scripted) their next phase edge, and continuous kernels (sinus,
+// mprime) t+1. The platform evaluates a profile once per horizon
+// rather than once per integration segment.
 package workload
 
 import (
@@ -62,23 +70,32 @@ func (p Profile) MemoryBound() bool {
 	return p.L3BytesPerInst > 0 || p.MemBytesPerInst > 0
 }
 
+// Forever is the horizon of a profile that never changes.
+const Forever = sim.Time(math.MaxInt64)
+
 // Kernel is a runnable workload model.
 type Kernel interface {
 	Name() string
-	// ProfileAt returns the execution profile at virtual time t (time
-	// since the kernel started).
-	ProfileAt(t sim.Time) Profile
+	// ProfileAt writes the execution profile at virtual time t (time
+	// since the kernel started, t >= 0) into p and returns its horizon:
+	// the first time after t at which the profile may differ. The
+	// profile is the same at every time in [t, until). Constant kernels
+	// return Forever, piecewise kernels their next phase edge, and
+	// continuous kernels t+1.
+	//
+	// ProfileAt must be a pure function of t and the kernel's value: no
+	// state, no dependence on call order. The platform relies on this
+	// to reuse one evaluation until the horizon and to share it between
+	// cores that run equal kernels from the same start time.
+	ProfileAt(t sim.Time, p *Profile) (until sim.Time)
 }
 
-// ConstantKernel marks kernels whose profile never varies with time
-// (FIRESTARTER's "extremely constant power consumption patterns" and the
-// Static microbenchmarks). The platform probes for it to skip the
-// per-segment profile re-check — ProfileAt must return the same value
-// for every t.
-type ConstantKernel interface {
-	Kernel
-	// ConstantProfile returns the kernel's time-invariant profile.
-	ConstantProfile() Profile
+// ProfileOf returns k's profile at time t, for callers outside the
+// integration path that need only the value.
+func ProfileOf(k Kernel, t sim.Time) Profile {
+	var p Profile
+	k.ProfileAt(t, &p)
+	return p
 }
 
 // static is a time-invariant kernel.
@@ -87,10 +104,13 @@ type static struct {
 	p    Profile
 }
 
-func (s *static) Name() string               { return s.name }
-func (s *static) ProfileAt(sim.Time) Profile { return s.p }
-func (s *static) ConstantProfile() Profile   { return s.p }
-func (s *static) String() string             { return s.name }
+func (s *static) Name() string   { return s.name }
+func (s *static) String() string { return s.name }
+
+func (s *static) ProfileAt(_ sim.Time, p *Profile) sim.Time {
+	*p = s.p
+	return Forever
+}
 
 // Static builds a constant-profile kernel.
 func Static(name string, p Profile) Kernel { return &static{name: name, p: p} }
@@ -211,14 +231,15 @@ type sinus struct {
 
 func (s *sinus) Name() string { return "sinus" }
 
-func (s *sinus) ProfileAt(t sim.Time) Profile {
+func (s *sinus) ProfileAt(t sim.Time, p *Profile) sim.Time {
 	phase := 2 * math.Pi * float64(t%s.period) / float64(s.period)
 	m := 0.5 + 0.45*math.Sin(phase) // intensity in [0.05, 0.95]
-	return Profile{
+	*p = Profile{
 		IPC1:     0.4 + 2.0*m,
 		IPC2:     0.5 + 2.3*m,
 		Activity: 0.15 + 0.75*m,
 	}
+	return t + 1
 }
 
 // Sinus returns the sinusoidally modulated load with the given period.
@@ -247,13 +268,14 @@ const (
 
 func (firestarterKernel) Name() string { return "FIRESTARTER" }
 
-func (firestarterKernel) ProfileAt(sim.Time) Profile {
+func (firestarterKernel) ProfileAt(_ sim.Time, p *Profile) sim.Time {
 	// Traffic per instruction from the group construction: cache-level
 	// groups carry a 256-bit store (I1) plus a 256-bit load (I2) = 64 B
 	// per group; mem groups carry the load only (I1 stays on registers)
 	// = 32 B. L1/L2 traffic is absorbed by the core model; L3/mem
-	// traffic reaches the uncore.
-	return Profile{
+	// traffic reaches the uncore. The profile never varies: FIRESTARTER's
+	// defining property in the paper's stress-test comparison.
+	*p = Profile{
 		// Unconstrained IPC; at the Table IV operating point
 		// (~2.3 GHz core, ~2.3 GHz uncore) the uncore-latency term
 		// brings these to the paper's measured 2.8 / 3.1.
@@ -266,11 +288,8 @@ func (firestarterKernel) ProfileAt(sim.Time) Profile {
 		UncoreSens:      0.30,
 		UncoreRefGHz:    3.0,
 	}
+	return Forever
 }
-
-// ConstantProfile marks FIRESTARTER as time-invariant (its defining
-// property in the paper's stress-test comparison).
-func (k firestarterKernel) ConstantProfile() Profile { return k.ProfileAt(0) }
 
 // Firestarter returns the FIRESTARTER stress kernel.
 func Firestarter() Kernel { return firestarterKernel{} }
@@ -284,26 +303,29 @@ type linpack struct{}
 
 func (linpack) Name() string { return "LINPACK" }
 
-func (linpack) ProfileAt(t sim.Time) Profile {
+func (linpack) ProfileAt(t sim.Time, p *Profile) sim.Time {
 	// ~180 ms factorization steps: 80% update phase (dense FMA), 20%
 	// panel phase (memory-bound, lower activity).
 	const step = 180 * sim.Millisecond
-	inPanel := (t % step) >= (step * 8 / 10)
-	if inPanel {
+	const panelStart = step * 8 / 10
+	stepStart := t - t%step
+	if t-stepStart >= panelStart {
 		// Panel factorization: DRAM-bound, stalls heavily — EET
 		// withholds turbo and power drops well below TDP.
-		return Profile{
+		*p = Profile{
 			IPC1: 1.6, IPC2: 1.9, AVXFrac: 0.40, Activity: 0.45,
 			L3BytesPerInst: 2.0, MemBytesPerInst: 2.2,
 		}
+		return stepStart + step
 	}
 	// Blocked update phase: dense FMA, mostly cache-resident, denser
 	// switching than FIRESTARTER's mixed groups — which is why LINPACK
 	// sustains the lowest frequency of the three stress tests.
-	return Profile{
+	*p = Profile{
 		IPC1: 2.7, IPC2: 2.9, AVXFrac: 0.85, Activity: 1.13,
 		L3BytesPerInst: 0.8, MemBytesPerInst: 0.10,
 	}
+	return stepStart + panelStart
 }
 
 // Linpack returns the LINPACK-style stress kernel.
@@ -316,11 +338,11 @@ type mprime struct{}
 
 func (mprime) Name() string { return "mprime" }
 
-func (mprime) ProfileAt(t sim.Time) Profile {
+func (mprime) ProfileAt(t sim.Time, p *Profile) sim.Time {
 	// Drift between FFT working sets every ~2 s.
 	phase := 2 * math.Pi * float64(t%(4*sim.Second)) / float64(4*sim.Second)
 	w := 0.5 + 0.5*math.Sin(phase)
-	return Profile{
+	*p = Profile{
 		IPC1:            2.3 + 0.3*w,
 		IPC2:            2.6 + 0.3*w,
 		AVXFrac:         0.45,
@@ -328,6 +350,7 @@ func (mprime) ProfileAt(t sim.Time) Profile {
 		L3BytesPerInst:  0.5 + 0.4*w,
 		MemBytesPerInst: 0.10 + 0.08*w,
 	}
+	return t + 1
 }
 
 // Mprime returns the mprime-style stress kernel.
@@ -368,15 +391,19 @@ func NewScripted(label string, segments ...Segment) (*Scripted, error) {
 
 func (s *Scripted) Name() string { return s.Label }
 
-func (s *Scripted) ProfileAt(t sim.Time) Profile {
-	rel := t % s.total
-	for _, seg := range s.Segments {
-		if rel < seg.Duration {
-			return seg.Profile
+func (s *Scripted) ProfileAt(t sim.Time, p *Profile) sim.Time {
+	end := t - t%s.total // start of the current loop
+	for i := range s.Segments {
+		seg := &s.Segments[i]
+		end += seg.Duration
+		if t < end {
+			*p = seg.Profile
+			return end
 		}
-		rel -= seg.Duration
 	}
-	return s.Segments[len(s.Segments)-1].Profile
+	// Unreachable: the segment durations sum to total.
+	*p = s.Segments[len(s.Segments)-1].Profile
+	return end
 }
 
 // Phased alternates between two profiles with the given half-period —
@@ -390,11 +417,18 @@ type Phased struct {
 
 func (p *Phased) Name() string { return p.Label }
 
-func (p *Phased) ProfileAt(t sim.Time) Profile {
-	if p.HalfPeriod <= 0 || (t/p.HalfPeriod)%2 == 0 {
-		return p.A
+func (p *Phased) ProfileAt(t sim.Time, dst *Profile) sim.Time {
+	if p.HalfPeriod <= 0 {
+		*dst = p.A
+		return Forever
 	}
-	return p.B
+	half := t / p.HalfPeriod
+	if half%2 == 0 {
+		*dst = p.A
+	} else {
+		*dst = p.B
+	}
+	return (half + 1) * p.HalfPeriod
 }
 
 // Fig2Set returns the RAPL-validation workload set of Figure 2, in the

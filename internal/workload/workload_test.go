@@ -15,7 +15,7 @@ func TestAllKernelsValidate(t *testing.T) {
 	}
 	for _, k := range kernels {
 		for _, at := range []sim.Time{0, 17 * sim.Millisecond, sim.Second, 3*sim.Second + 1} {
-			if err := k.ProfileAt(at).Validate(); err != nil {
+			if err := ProfileOf(k, at).Validate(); err != nil {
 				t.Errorf("%s at %v: %v", k.Name(), at, err)
 			}
 		}
@@ -23,7 +23,7 @@ func TestAllKernelsValidate(t *testing.T) {
 }
 
 func TestBusyWaitHasNoMemoryStalls(t *testing.T) {
-	p := BusyWait().ProfileAt(0)
+	p := ProfileOf(BusyWait(), 0)
 	if p.MemoryBound() {
 		t.Fatal("busy wait must not touch L3/DRAM (Table III probe)")
 	}
@@ -33,7 +33,7 @@ func TestBusyWaitHasNoMemoryStalls(t *testing.T) {
 }
 
 func TestFirestarterMatchesPaper(t *testing.T) {
-	p := Firestarter().ProfileAt(0)
+	p := ProfileOf(Firestarter(), 0)
 	// Section VIII: 3.1 IPC with Hyper-Threading, 2.8 without — these
 	// are the *effective* values at the Table IV operating point
 	// (~2.3 GHz uncore), where the uncore-latency term applies.
@@ -63,9 +63,9 @@ func TestFirestarterMatchesPaper(t *testing.T) {
 
 func TestFirestarterConstantOverTime(t *testing.T) {
 	k := Firestarter()
-	p0 := k.ProfileAt(0)
+	p0 := ProfileOf(k, 0)
 	for _, at := range []sim.Time{sim.Millisecond, sim.Second, 59 * sim.Second} {
-		if k.ProfileAt(at) != p0 {
+		if ProfileOf(k, at) != p0 {
 			t.Fatalf("FIRESTARTER profile varies over time — it must be constant")
 		}
 	}
@@ -75,7 +75,7 @@ func TestSinusVariesSmoothly(t *testing.T) {
 	k := Sinus(sim.Second)
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for ms := 0; ms < 1000; ms += 10 {
-		a := k.ProfileAt(sim.Time(ms) * sim.Millisecond).Activity
+		a := ProfileOf(k, sim.Time(ms)*sim.Millisecond).Activity
 		lo = math.Min(lo, a)
 		hi = math.Max(hi, a)
 	}
@@ -83,19 +83,19 @@ func TestSinusVariesSmoothly(t *testing.T) {
 		t.Fatalf("sinus swing too small: [%v, %v]", lo, hi)
 	}
 	// Periodicity.
-	if k.ProfileAt(0) != k.ProfileAt(sim.Second) {
+	if ProfileOf(k, 0) != ProfileOf(k, sim.Second) {
 		t.Fatal("sinus not periodic")
 	}
 	// Default period for non-positive input.
-	if Sinus(0).ProfileAt(123) != k.ProfileAt(123) {
+	if ProfileOf(Sinus(0), 123) != ProfileOf(k, 123) {
 		t.Fatal("Sinus(0) should default to 1s period")
 	}
 }
 
 func TestLinpackHasPhases(t *testing.T) {
 	k := Linpack()
-	update := k.ProfileAt(0)
-	panel := k.ProfileAt(170 * sim.Millisecond) // inside the last 20% of a 180 ms step
+	update := ProfileOf(k, 0)
+	panel := ProfileOf(k, 170*sim.Millisecond) // inside the last 20% of a 180 ms step
 	if update == panel {
 		t.Fatal("LINPACK must alternate update/panel phases")
 	}
@@ -111,7 +111,7 @@ func TestMprimeVariesMoreThanFirestarter(t *testing.T) {
 	variance := func(k Kernel) float64 {
 		var xs []float64
 		for ms := 0; ms < 4000; ms += 50 {
-			xs = append(xs, k.ProfileAt(sim.Time(ms)*sim.Millisecond).Activity)
+			xs = append(xs, ProfileOf(k, sim.Time(ms)*sim.Millisecond).Activity)
 		}
 		m, s := 0.0, 0.0
 		for _, x := range xs {
@@ -143,10 +143,10 @@ func TestStreamSelectsLevelByFootprint(t *testing.T) {
 }
 
 func TestStreamKernelsAreBandwidthBound(t *testing.T) {
-	if p := L3Stream().ProfileAt(0); p.L3BytesPerInst <= 0 || p.MemBytesPerInst != 0 {
+	if p := ProfileOf(L3Stream(), 0); p.L3BytesPerInst <= 0 || p.MemBytesPerInst != 0 {
 		t.Error("L3 stream must generate only L3 traffic")
 	}
-	if p := MemStream().ProfileAt(0); p.MemBytesPerInst <= 0 || p.L3BytesPerInst != 0 {
+	if p := ProfileOf(MemStream(), 0); p.MemBytesPerInst <= 0 || p.L3BytesPerInst != 0 {
 		t.Error("DRAM stream must generate only DRAM traffic")
 	}
 }
@@ -155,18 +155,18 @@ func TestPhasedKernel(t *testing.T) {
 	a := Profile{IPC1: 2, IPC2: 2.4, Activity: 0.9}
 	b := Profile{IPC1: 0.5, IPC2: 0.6, Activity: 0.3, MemBytesPerInst: 6}
 	k := &Phased{Label: "phased", A: a, B: b, HalfPeriod: sim.Millisecond}
-	if k.ProfileAt(0) != a || k.ProfileAt(999*sim.Microsecond) != a {
+	if ProfileOf(k, 0) != a || ProfileOf(k, 999*sim.Microsecond) != a {
 		t.Fatal("first half-period must be A")
 	}
-	if k.ProfileAt(sim.Millisecond) != b || k.ProfileAt(1999*sim.Microsecond) != b {
+	if ProfileOf(k, sim.Millisecond) != b || ProfileOf(k, 1999*sim.Microsecond) != b {
 		t.Fatal("second half-period must be B")
 	}
-	if k.ProfileAt(2*sim.Millisecond) != a {
+	if ProfileOf(k, 2*sim.Millisecond) != a {
 		t.Fatal("third half-period must be A again")
 	}
 	// Degenerate half-period pins profile A.
 	k2 := &Phased{Label: "x", A: a, B: b}
-	if k2.ProfileAt(5*sim.Second) != a {
+	if ProfileOf(k2, 5*sim.Second) != a {
 		t.Fatal("zero half-period must pin A")
 	}
 }
@@ -227,14 +227,14 @@ func TestScriptedKernel(t *testing.T) {
 	if k.Name() != "trace" {
 		t.Error("name lost")
 	}
-	if k.ProfileAt(0) != a || k.ProfileAt(9*sim.Millisecond) != a {
+	if ProfileOf(k, 0) != a || ProfileOf(k, 9*sim.Millisecond) != a {
 		t.Error("first segment wrong")
 	}
-	if k.ProfileAt(10*sim.Millisecond) != b || k.ProfileAt(14*sim.Millisecond) != b {
+	if ProfileOf(k, 10*sim.Millisecond) != b || ProfileOf(k, 14*sim.Millisecond) != b {
 		t.Error("second segment wrong")
 	}
 	// Loops.
-	if k.ProfileAt(15*sim.Millisecond) != a || k.ProfileAt(25*sim.Millisecond) != b {
+	if ProfileOf(k, 15*sim.Millisecond) != a || ProfileOf(k, 25*sim.Millisecond) != b {
 		t.Error("loop wrong")
 	}
 	// Validation.

@@ -39,12 +39,19 @@ bench-compare:
 # strictly serial reference, forked platforms must evolve
 # bitwise-identically to their parents, and a 256-node sharded fleet
 # study must render byte-identically to its serial reference, all under
-# the race detector.
+# the race detector. Last, a live scale-0.5 render of the whole suite
+# must match the committed results/experiments-scale0.5.txt byte for
+# byte.
 golden:
 	$(GO) test -race -run 'TestSuiteSerialVsParallelByteIdentical' ./internal/exp
 	$(GO) test -race -run 'TestFork|TestEngineFork' ./internal/core ./internal/sim
 	$(GO) test -race -run 'TestFleetStudySerialVsParallel$$' ./internal/exp
 	$(GO) test -race -run 'TestFleetSerialVsParallelIdentical|TestFleetRepeatable' ./internal/fleet
+	@out=$$(mktemp) && \
+	$(GO) run ./cmd/experiments -run all -scale 0.5 -no-cache > "$$out" && \
+	cmp results/experiments-scale0.5.txt "$$out"; st=$$?; rm -f "$$out"; \
+	if [ $$st -ne 0 ]; then echo "golden: scale-0.5 render differs from results/experiments-scale0.5.txt" >&2; fi; \
+	exit $$st
 
 # errgate: no silently discarded call results (`_ = f(...)`) outside
 # test files — dropped errors must be propagated or counted in obs.
@@ -94,7 +101,7 @@ ci:
 	@echo "==> ci step 6/9: bench-compare"
 	@$(MAKE) --no-print-directory bench-compare || { echo "ci: gate 'bench-compare' failed — perf regression against BENCH_sim.json" >&2; exit 1; }
 	@echo "==> ci step 7/9: golden"
-	@$(MAKE) --no-print-directory golden || { echo "ci: gate 'golden' failed — serial vs parallel output diverged" >&2; exit 1; }
+	@$(MAKE) --no-print-directory golden || { echo "ci: gate 'golden' failed — serial vs parallel output diverged or the scale-0.5 render drifted from results/" >&2; exit 1; }
 	@echo "==> ci step 8/9: eprofgate"
 	@$(MAKE) --no-print-directory eprofgate || { echo "ci: gate 'eprofgate' failed — energy profile broke stdout identity or attribution totals" >&2; exit 1; }
 	@echo "==> ci step 9/9: serve-smoke"

@@ -304,7 +304,8 @@ func runBody(fl runFlags, fs *flag.FlagSet, stdout, stderr io.Writer) int {
 	exp.RunSuite(ids, o, fl.csv, cache, func(r exp.SuiteResult) {
 		info := obs.ExperimentInfo{
 			ID: r.ID, Cached: r.Cached,
-			ElapsedMS: r.Elapsed.Milliseconds(), Bytes: len(r.Output),
+			ElapsedMS: r.Elapsed.Milliseconds(), QueueMS: r.Queue.Milliseconds(),
+			Bytes: len(r.Output),
 		}
 		fmt.Fprintf(stdout, "==== %s ====\n", r.ID)
 		if r.Err != nil {
@@ -318,11 +319,12 @@ func runBody(fl runFlags, fs *flag.FlagSet, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout)
 		manifest.Experiments = append(manifest.Experiments, info)
 		if fl.verbose {
-			how := "ran"
 			if r.Cached {
-				how = "cache hit"
+				fmt.Fprintf(stderr, "%s: cache hit in %v\n", r.ID, r.Elapsed.Round(time.Millisecond))
+			} else {
+				fmt.Fprintf(stderr, "%s: ran in %v (queued %v)\n", r.ID,
+					(r.Elapsed - r.Queue).Round(time.Millisecond), r.Queue.Round(time.Millisecond))
 			}
-			fmt.Fprintf(stderr, "%s: %s in %v\n", r.ID, how, r.Elapsed.Round(time.Millisecond))
 		}
 	})
 	if spanTrace != nil {

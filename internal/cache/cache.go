@@ -30,6 +30,10 @@ type CoreLoad struct {
 	FreqGHz float64
 	Threads int // 1 or 2 (Hyper-Threading)
 	Prof    workload.Profile
+	// Key stamps Prof: loads given to one Memo with equal nonzero keys
+	// must carry equal profiles, for the memo's whole life. Key 0 makes
+	// no promise, so the load is always solved afresh.
+	Key uint64
 }
 
 // CoreResult is the solved steady-state behaviour of one core.
@@ -62,6 +66,9 @@ type Model struct {
 	// pure topology functions and sit on the solver's hot path.
 	l3Hops  []float64
 	imcHops []float64
+	// hopClass numbers the distinct (l3Hops, imcHops) pairs: cores of
+	// one class solve identically for equal inputs.
+	hopClass []int
 }
 
 // NewModel builds the solver for a package.
@@ -70,9 +77,17 @@ func NewModel(spec *uarch.Spec, topo *ring.Topology) *Model {
 	n := topo.Cores()
 	m.l3Hops = make([]float64, n)
 	m.imcHops = make([]float64, n)
+	m.hopClass = make([]int, n)
 	for c := 0; c < n; c++ {
 		m.l3Hops[c] = topo.AvgL3HopCycles(c)
 		m.imcHops[c] = topo.AvgIMCHopCycles(c)
+		m.hopClass[c] = c
+		for o := 0; o < c; o++ {
+			if m.l3Hops[o] == m.l3Hops[c] && m.imcHops[o] == m.imcHops[c] {
+				m.hopClass[c] = m.hopClass[o]
+				break
+			}
+		}
 	}
 	return m
 }
@@ -90,6 +105,15 @@ func (m *Model) imcHop(core int) float64 {
 		return m.imcHops[core]
 	}
 	return 0
+}
+
+// classOf returns a core's hop class; every core beyond the topology
+// (zero hops) is in class -1.
+func (m *Model) classOf(core int) int {
+	if core >= 0 && core < len(m.hopClass) {
+		return m.hopClass[core]
+	}
+	return -1
 }
 
 // L3LatencyNanos returns the average L3 load-to-use latency for a core.
@@ -134,27 +158,77 @@ func (m *Model) inFlightLines(threads int) float64 {
 // Solve computes the steady-state rates for a set of active cores
 // sharing one package's uncore. Cores not listed are idle.
 func (m *Model) Solve(loads []CoreLoad, uncoreGHz float64) []CoreResult {
-	return m.SolveInto(nil, loads, uncoreGHz)
+	var memo Memo
+	return m.SolveMemoized(&memo, loads, uncoreGHz)
 }
 
-// SolveInto is Solve with a caller-provided result buffer (hot path).
-func (m *Model) SolveInto(dst []CoreResult, loads []CoreLoad, uncoreGHz float64) []CoreResult {
-	var res []CoreResult
-	if cap(dst) >= len(loads) {
-		res = dst[:len(loads)]
-		clear(res)
-	} else {
-		res = make([]CoreResult, len(loads))
+// Memo carries one caller's pass-1 (per-core) results from one solve
+// to the next, so a solve does per-core work only for loads that
+// changed. A memo belongs to one Model and one stream of keys (see
+// CoreLoad.Key); the zero value is empty. The returned results alias
+// the memo and are valid until its next solve.
+type Memo struct {
+	keys   []memoKey
+	pass1  []CoreResult
+	res    []CoreResult
+	uncore float64
+}
+
+// memoKey is everything solveCore reads from a load besides the
+// profile, which Key stands for.
+type memoKey struct {
+	core    int
+	freqGHz float64
+	threads int
+	key     uint64
+}
+
+// Reset empties the memo, keeping its storage.
+func (mm *Memo) Reset() { mm.keys = mm.keys[:0] }
+
+// SolveMemoized is Solve reusing mm's pass-1 results (hot path). A
+// slot whose core, frequency, threads and nonzero key match the
+// previous solve at an unchanged uncore clock keeps its pass-1 result;
+// otherwise a load equal in key, frequency and threads to the load
+// just before it, on a core of the same hop class, copies that load's
+// result; only the rest run solveCore. Pass 2 always runs in full, so
+// the results are bitwise those of a fresh Solve.
+func (m *Model) SolveMemoized(mm *Memo, loads []CoreLoad, uncoreGHz float64) []CoreResult {
+	n := len(loads)
+	if cap(mm.keys) < n {
+		mm.keys = make([]memoKey, 0, n)
+		mm.pass1 = make([]CoreResult, n)
+		mm.res = make([]CoreResult, n)
 	}
+	prev := mm.keys
+	if mm.uncore != uncoreGHz {
+		prev = nil
+	}
+	keys, pass1 := mm.keys[:n], mm.pass1[:n]
 	// Pass 1: per-core latency/MLP limits. Loads are passed by pointer:
 	// a CoreLoad embeds the 96-byte Profile and the copies dominate the
 	// solver's cost at fleet scale.
 	for i := range loads {
-		res[i] = m.solveCore(&loads[i], uncoreGHz)
+		ld := &loads[i]
+		k := memoKey{core: ld.CoreID, freqGHz: ld.FreqGHz, threads: ld.Threads, key: ld.Key}
+		switch {
+		case k.key != 0 && i < len(prev) && prev[i] == k:
+			// Unchanged since the previous solve: pass1[i] holds.
+		case k.key != 0 && i > 0 && keys[i-1].key == k.key &&
+			keys[i-1].freqGHz == k.freqGHz && keys[i-1].threads == k.threads &&
+			m.classOf(keys[i-1].core) == m.classOf(k.core):
+			pass1[i] = pass1[i-1]
+		default:
+			pass1[i] = m.solveCore(ld, uncoreGHz)
+		}
+		keys[i] = k
 	}
+	mm.keys, mm.uncore = keys, uncoreGHz
 	// Pass 2: shared-resource capacity. Scale memory-traffic cores by a
 	// common factor when aggregate demand exceeds capacity (fair
 	// bandwidth sharing), then recompute dependent quantities.
+	res := mm.res[:n]
+	copy(res, pass1)
 	m.applyCapacity(loads, res, uncoreGHz)
 	return res
 }

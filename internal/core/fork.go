@@ -347,8 +347,9 @@ func (sk *Socket) forkInto(nk *Socket, sys *System) {
 	residSlab := nk.residSlab
 	oldMemo := nk.memo
 	eplanEntries := nk.eplan.Detach()
-	loadsBuf, coresBuf, statesBuf, resultsBuf, telCores :=
-		nk.loadsBuf, nk.coresBuf, nk.statesBuf, nk.resultsBuf, nk.telCores
+	loadsBuf, coresBuf, statesBuf, telCores :=
+		nk.loadsBuf, nk.coresBuf, nk.statesBuf, nk.telCores
+	solveMemo := nk.solveMemo
 
 	*nk = *sk
 	nk.sys = sys
@@ -368,8 +369,13 @@ func (sk *Socket) forkInto(nk *Socket, sys *System) {
 	// Apply); reseat the harvested private backing.
 	nk.eplan.Attach(eplanEntries)
 	nk.Power.ResetScratch()
-	nk.loadsBuf, nk.coresBuf, nk.statesBuf, nk.resultsBuf, nk.telCores =
-		loadsBuf, coresBuf, statesBuf, resultsBuf, telCores
+	nk.loadsBuf, nk.coresBuf, nk.statesBuf, nk.telCores =
+		loadsBuf, coresBuf, statesBuf, telCores
+	// The harvested solve memo is keyed by the old child's profile
+	// stamps, which the child's counter (restarting from the parent's)
+	// will issue again for other profiles: empty it.
+	solveMemo.Reset()
+	nk.solveMemo = solveMemo
 	// The harvested load entries are the old child's: rebuild them on
 	// the first full segment rather than refreshing them in place.
 	nk.loadsStale = true

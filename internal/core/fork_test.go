@@ -372,6 +372,55 @@ func TestForkReuseAfterReassign(t *testing.T) {
 	}
 }
 
+// TestForkReuseStaleSolveMemo recycles a child whose cache-solver memo
+// holds results keyed by profile stamps the next child issues again:
+// both lives assign a kernel to every core of socket 0 at the fork
+// instant, so the first new evaluation gets the same stamp, the same
+// cores, frequencies and uncore clock — only the profile differs. The
+// recycled child must solve afresh and match a fresh child.
+func TestForkReuseStaleSolveMemo(t *testing.T) {
+	sys := forkScenario(t, func(s *System) {
+		for cpu := 0; cpu < 12; cpu++ {
+			if err := s.AssignKernel(cpu, workload.Compute(), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Run(20 * sim.Millisecond)
+	})
+	assign := func(s *System, k workload.Kernel) {
+		for cpu := 0; cpu < 12; cpu++ {
+			if err := s.AssignKernel(cpu, k, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c1, err := sys.Fork()
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	assign(c1, workload.MemStream())
+	c1.Run(100 * sim.Microsecond)
+	c1.Release()
+	reused, err := sys.Fork()
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	if reused != c1 {
+		t.Fatal("fork after Release did not reuse the released child's storage")
+	}
+	fresh, err := sys.Fork()
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	for _, s := range []*System{reused, fresh} {
+		assign(s, workload.L3Stream())
+		s.Run(5 * sim.Millisecond)
+	}
+	if got, want := fingerprint(t, reused), fingerprint(t, fresh); !reflect.DeepEqual(got, want) {
+		t.Errorf("reused child diverged from a fresh child:\nreused: %+v\nfresh:  %+v", got, want)
+	}
+}
+
 func TestForkReleaseConcurrentStress(t *testing.T) {
 	sys := forkScenario(t, func(s *System) {
 		for cpu := 0; cpu < s.CPUs(); cpu += 4 {

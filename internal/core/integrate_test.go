@@ -7,6 +7,7 @@ import (
 
 	"hswsim/internal/cstate"
 	"hswsim/internal/sim"
+	"hswsim/internal/uarch"
 	"hswsim/internal/workload"
 )
 
@@ -18,7 +19,12 @@ import (
 // from one start time (one shared profile evaluation) past several of
 // its phase edges, and loses its sharing leader midway, beside a Phased
 // kernel whose AVX use flips at each edge; mprime and a Phased kernel
-// share evaluations on socket 1.
+// share evaluations on socket 1. A last phase runs LINPACK on all
+// twelve cores of socket 1, turbo-limited by TDP, into its first
+// DRAM-bound panel phase, so the cache solver both keeps unchanged
+// cores' results and copies a neighbour's, and the copy is wrong
+// across a hop-class boundary. Core residency is read for every CPU
+// after resets taken in mid-window.
 func integrateFingerprint(t *testing.T) string {
 	t.Helper()
 	sys, err := NewSystem(DefaultConfig())
@@ -57,6 +63,8 @@ func integrateFingerprint(t *testing.T) string {
 		HalfPeriod: 5300 * sim.Microsecond,
 	}, 1))
 	sys.Run(120 * sim.Millisecond)
+	sys.ResetResidency(0)
+	sys.ResetResidency(15)
 	sys.SetPState(0, 1800)
 	sys.SetPState(13, 1200)
 	sys.Run(80 * sim.Millisecond)
@@ -68,6 +76,11 @@ func integrateFingerprint(t *testing.T) string {
 		t.Fatal(err)
 	}
 	sys.Run(140 * sim.Millisecond)
+	sys.ResetResidency(3)
+	for cpu := 12; cpu < 24; cpu++ {
+		must(sys.AssignKernel(cpu, workload.Linpack(), 2))
+	}
+	sys.Run(200 * sim.Millisecond)
 
 	var b strings.Builder
 	for i := 0; i < sys.Sockets(); i++ {
@@ -80,6 +93,18 @@ func integrateFingerprint(t *testing.T) string {
 		s := sys.Core(cpu).Snapshot()
 		fmt.Fprintf(&b, "cpu%d tsc=%d aperf=%d mperf=%d inst=%d f=%v\n",
 			cpu, s.TSC, s.APERF, s.MPERF, s.Instructions, sys.CoreFreqMHz(cpu))
+	}
+	for cpu := 0; cpu < sys.CPUs(); cpu++ {
+		r := sys.CoreResidency(cpu)
+		pst := map[uarch.MHz]int64{}
+		for f, d := range r.PState {
+			pst[f] = int64(d)
+		}
+		cst := map[cstate.State]int64{}
+		for st, d := range r.CState {
+			cst[st] = int64(d)
+		}
+		fmt.Fprintf(&b, "cpu%d residency %v %v\n", cpu, pst, cst)
 	}
 	fmt.Fprintf(&b, "ac=%x\n", sys.ACPowerW())
 	for i, s := range sys.Meter().Samples() {

@@ -15,11 +15,34 @@ import (
 // and cpuidle sysfs accounting, and the raw material for duty-cycle
 // analysis of the PCU's behaviour. The p-state bins live in the
 // socket's residSlab (one contiguous allocation per socket, subsliced
-// per core) and are copied eagerly at fork time, so the hot add() path
-// is a plain indexed accumulate with no ownership barrier.
+// per core) and are copied eagerly at fork time, so add() is a plain
+// indexed accumulate with no ownership barrier.
+//
+// Time is counted per window, not per integration segment: the core
+// has held the pair (f, cs) since from, and that span reaches the bins
+// only when the pair changes or a reader flushes it. The bins are
+// integer times, so the totals are exactly the per-segment sums.
 type residency struct {
 	pstate []sim.Time // socket residSlab subslice, indexed by (MHz - min) / step
 	cstate [4]sim.Time
+	f      uarch.MHz
+	cs     cstate.State
+	from   sim.Time
+}
+
+// track moves the open window to the pair (f, cs) at time t, closing
+// the previous one if the pair changed.
+func (r *residency) track(spec *uarch.Spec, f uarch.MHz, cs cstate.State, t sim.Time) {
+	if f != r.f || cs != r.cs {
+		r.flush(spec, t)
+		r.f, r.cs = f, cs
+	}
+}
+
+// flush adds the open window up to t to the bins and restarts it at t.
+func (r *residency) flush(spec *uarch.Spec, t sim.Time) {
+	r.add(spec, r.f, r.cs, t-r.from)
+	r.from = t
 }
 
 // residencyBins is the number of p-state bins per core.
@@ -119,6 +142,7 @@ func (s *System) CoreResidency(cpu int) Residency {
 	}
 	s.integrateTo(s.Engine.Now())
 	spec := s.cfg.Spec
+	c.resid.flush(spec, s.lastIntegrate)
 	for i, d := range c.resid.pstate {
 		if d > 0 {
 			out.PState[spec.MinMHz+uarch.MHz(i)*spec.PStateStep] = d
@@ -138,6 +162,7 @@ func (s *System) CoreResidency(cpu int) Residency {
 func (s *System) ResetResidency(cpu int) {
 	if c := s.coreOf(cpu); c != nil {
 		s.integrateTo(s.Engine.Now())
+		c.resid.flush(s.cfg.Spec, s.lastIntegrate)
 		for i := range c.resid.pstate {
 			c.resid.pstate[i] = 0
 		}

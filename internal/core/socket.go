@@ -98,11 +98,15 @@ type Socket struct {
 	eplan eprof.Plan
 
 	// Scratch buffers for the per-segment integration (hot path).
-	loadsBuf   []cache.CoreLoad
-	coresBuf   []*Core
-	statesBuf  []power.CoreState
-	resultsBuf []cache.CoreResult
-	telCores   []pcu.CoreTelemetry
+	loadsBuf  []cache.CoreLoad
+	coresBuf  []*Core
+	statesBuf []power.CoreState
+	telCores  []pcu.CoreTelemetry
+	// solveMemo keeps the cache solver's per-core results between full
+	// segments, keyed by each load's profile stamp (Core.loadGen). The
+	// stamps are unique only within this socket's life, so forkInto
+	// hands the child its own harvested memo, emptied.
+	solveMemo cache.Memo
 	// loadsStale forces integrateFull to rebuild loadsBuf from scratch:
 	// a kernel assignment can change a core's profile without changing
 	// the active set, which is what the in-place refresh keys on.
@@ -181,6 +185,7 @@ func newSocket(sys *System, index int, topo *ring.Topology) *Socket {
 	sk.residSlab = make([]sim.Time, spec.Cores*bins)
 	for i, c := range sk.cores {
 		c.resid.pstate = sk.residSlab[i*bins : (i+1)*bins : (i+1)*bins]
+		c.resid.f, c.resid.cs = c.dom.Granted(), c.cstateNow
 	}
 	sk.opDirty = true
 	sk.telVersion = 1
@@ -378,12 +383,13 @@ func (sk *Socket) telemetry(now sim.Time) pcu.Telemetry {
 //
 // Integration is change-driven: if no operating-point mutation has been
 // flagged since the last segment and the workload profiles still match,
-// the memoized segment is replayed — counters and residency advance
-// with the cached rates, and the power breakdown is re-derived from the
-// memo in O(cores) multiply-adds (only the leakage temperature factor
-// moves), skipping the memory-hierarchy solver and the operating-point
-// rebuild entirely. The replayed segment is bit-for-bit identical to a
-// full recomputation, so traces and experiment outputs do not depend on
+// the memoized segment is replayed — counters advance with the cached
+// rates (residency windows stay open: the operating point held), and
+// the power breakdown is re-derived from the memo in O(cores)
+// multiply-adds (only the leakage temperature factor moves), skipping
+// the memory-hierarchy solver and the operating-point rebuild entirely.
+// The replayed segment is bit-for-bit identical to a full
+// recomputation, so traces and experiment outputs do not depend on
 // which path ran.
 func (sk *Socket) integrate(from sim.Time, dt sim.Time) float64 {
 	if !debugForceFullIntegration && sk.segValid && !sk.opDirty && sk.steadyAt(from) {
@@ -397,10 +403,12 @@ func (sk *Socket) integrate(from sim.Time, dt sim.Time) float64 {
 
 // debugForceFullIntegration disables the steady-segment replay, the
 // in-place load refresh, the profile horizon cache, cross-core profile
-// sharing and the horizon-bounded telemetry reuse, so every use of a
-// profile calls Kernel.ProfileAt (test seam: the bitwise-equivalence
-// test runs the same scenario with and without it and requires
-// identical output).
+// sharing, the horizon-bounded telemetry reuse, the solver's pass-1
+// reuse and deduplication (every load carries Key 0) and the residency
+// windows (closed after every segment), so every use of a profile
+// calls Kernel.ProfileAt and every core is solved (test seam: the
+// bitwise-equivalence test runs the same scenario with and without it
+// and requires identical output).
 var debugForceFullIntegration = false
 
 // steadyAt reports whether the memoized operating point still holds at
@@ -429,9 +437,6 @@ func (sk *Socket) steadyAt(from sim.Time) bool {
 // integrateSteady replays the memoized segment over dt.
 func (sk *Socket) integrateSteady(dt sim.Time) float64 {
 	tscGHz := sk.Spec.BaseMHz.GHz()
-	for _, c := range sk.cores {
-		c.resid.add(sk.Spec, c.dom.Granted(), c.cstateNow, dt)
-	}
 	for j, c := range sk.coresBuf {
 		c.ctr.Advance(dt, sk.loadsBuf[j].FreqGHz, tscGHz, c.lastRate, c.lastStall, true)
 	}
@@ -476,6 +481,9 @@ func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
 			loadCores = append(loadCores, c)
 		}
 	}
+	// Each entry's Key is its profile stamp, so the solver redoes a
+	// core's pass-1 work only when its inputs moved (Key 0 on the
+	// reference path: solve every core).
 	var loads []cache.CoreLoad
 	if same && len(loadCores) == len(old) {
 		loads = sk.loadsBuf[:len(old)]
@@ -486,41 +494,47 @@ func (sk *Socket) integrateFull(from sim.Time, dt sim.Time) float64 {
 				loads[j].Prof = *prof
 				c.loadGen = gen
 			}
+			loads[j].Key = c.loadGen
 		}
 	} else {
 		loads = sk.loadsBuf[:0]
 		for _, c := range loadCores {
 			prof, gen := c.profileNow(from)
+			c.loadGen = gen
+			if debugForceFullIntegration {
+				gen = 0
+			}
 			loads = append(loads, cache.CoreLoad{
 				CoreID:  c.Index,
 				FreqGHz: c.dom.Granted().GHz(),
 				Threads: c.threads,
 				Prof:    *prof,
+				Key:     gen,
 			})
-			c.loadGen = gen
 		}
 	}
 	sk.loadsBuf, sk.coresBuf = loads, loadCores
 	sk.loadsStale = false
 	uncoreGHz := sk.UncoreMHz().GHz()
-	results := sk.Cache.SolveInto(sk.resultsBuf, loads, uncoreGHz)
-	sk.resultsBuf = results
+	results := sk.Cache.SolveMemoized(&sk.solveMemo, loads, uncoreGHz)
 
-	// Per-core accounting and power states.
+	// Per-core accounting and power states. A core's residency window
+	// closes only when its (p-state, c-state) pair moved, which raises
+	// opDirty and so always lands on a full segment.
 	if cap(sk.statesBuf) < len(sk.cores) {
 		sk.statesBuf = make([]power.CoreState, len(sk.cores))
 	}
 	states := sk.statesBuf[:len(sk.cores)]
-	for i := range states {
-		states[i] = power.CoreState{}
-	}
 	tscGHz := sk.Spec.BaseMHz.GHz()
 	var ev rapl.ModelInputs
 	sk.dramGBs = 0
 	for i, c := range sk.cores {
 		states[i] = power.CoreState{CState: c.cstateNow, Volts: c.reg.Volts()}
 		c.lastStall = 0
-		c.resid.add(sk.Spec, c.dom.Granted(), c.cstateNow, dt)
+		c.resid.track(sk.Spec, c.dom.Granted(), c.cstateNow, from)
+		if debugForceFullIntegration {
+			c.resid.flush(sk.Spec, from+dt)
+		}
 	}
 	for j, c := range loadCores {
 		r := results[j]

@@ -243,8 +243,11 @@ type SuiteResult struct {
 	Output []byte
 	Err    error
 	// Cached reports that Output was replayed from the cache.
-	Cached  bool
+	Cached bool
+	// Elapsed is the experiment's whole wall time, Queue included;
+	// Queue is the part spent waiting for a compute slot.
 	Elapsed time.Duration
+	Queue   time.Duration
 }
 
 // RunSuite executes the requested experiments concurrently on the
@@ -336,14 +339,16 @@ func runOne(id string, o Options, csv bool, cache Cache) SuiteResult {
 		}
 	}
 	expEnd := wallSpan("experiment", id)
+	waitStart := time.Now()
 	sched.Acquire()
+	queue := time.Since(waitStart)
 	out, err := RunLive(id, o, csv)
 	sched.Release()
 	if expEnd != nil {
 		expEnd()
 	}
 	if err != nil {
-		return SuiteResult{ID: id, Err: err, Elapsed: time.Since(start)}
+		return SuiteResult{ID: id, Err: err, Elapsed: time.Since(start), Queue: queue}
 	}
 	if cache != nil {
 		if perr := cache.Put(id, o, csv, out); perr != nil {
@@ -356,7 +361,7 @@ func runOne(id string, o Options, csv bool, cache Cache) SuiteResult {
 			})
 		}
 	}
-	return SuiteResult{ID: id, Output: out, Elapsed: time.Since(start)}
+	return SuiteResult{ID: id, Output: out, Elapsed: time.Since(start), Queue: queue}
 }
 
 // putWarnOnce gates the once-per-process cache-put warning.

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"hswsim/internal/slots"
 )
 
 // renderSuite runs every experiment through RunSuite and returns the
@@ -248,5 +251,40 @@ func TestDescriptorWriteErrorPropagates(t *testing.T) {
 	d, _ := Lookup("tab1")
 	if err := d.Run(Quick(), &errWriter{}, false); err == nil {
 		t.Fatal("write error swallowed")
+	}
+}
+
+// TestRunOneQueueAbsorbsSlotWait submits an experiment while every
+// compute slot is held: the wait must surface as Queue, inside Elapsed,
+// and not as run time.
+func TestRunOneQueueAbsorbsSlotWait(t *testing.T) {
+	pool := slots.New(2)
+	saved := sched
+	sched = pool
+	defer func() { sched = saved }()
+	for i := 0; i < pool.Cap(); i++ {
+		pool.Acquire()
+	}
+	done := make(chan SuiteResult, 1)
+	go func() { done <- runOne("tab1", Quick(), false, nil) }()
+	const hold = 150 * time.Millisecond
+	time.Sleep(hold)
+	for i := 0; i < pool.Cap(); i++ {
+		pool.Release()
+	}
+	r := <-done
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if r.Queue < hold {
+		t.Errorf("Queue = %v, want at least the %v every slot was held", r.Queue, hold)
+	}
+	if r.Elapsed < r.Queue {
+		t.Errorf("Elapsed %v excludes Queue %v", r.Elapsed, r.Queue)
+	}
+
+	// Uncontended, the same experiment queues for no meaningful time.
+	if r := runOne("tab1", Quick(), false, nil); r.Queue >= hold {
+		t.Errorf("uncontended Queue = %v", r.Queue)
 	}
 }

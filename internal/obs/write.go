@@ -63,6 +63,7 @@ type ExperimentInfo struct {
 	ID        string `json:"id"`
 	Cached    bool   `json:"cached"`
 	ElapsedMS int64  `json:"elapsed_ms"`
+	QueueMS   int64  `json:"queue_ms"`
 	Bytes     int    `json:"bytes"`
 	Err       string `json:"err,omitempty"`
 }

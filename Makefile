@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-snapshot bench-compare golden errgate tracegate eprofgate serve-smoke ci
+.PHONY: all build test vet race bench bench-snapshot bench-compare golden errgate tracegate eprofgate serve-smoke fuzz ci
 
 all: build
 
@@ -80,30 +80,39 @@ eprofgate:
 serve-smoke:
 	scripts/serve_smoke.sh
 
+# fuzz: a short native-fuzzing smoke run of the pprof decoder — Parse
+# on arbitrary bytes must return a profile or an error, never panic.
+fuzz:
+	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/eprof
+
 # ci: the full gate, run as ordered named steps so a failure points at
 # the gate that tripped (a wheel concurrency bug should surface as
 # "race-full failed", not a generic test error) — vet, the
 # discarded-error and raw-buffer greps, the race-enabled full test
 # suite (includes the suite scheduler determinism test), benchmark
 # smoke, perf regression diff, the serial-vs-forked-parallel golden
-# comparison, and the hswsimd server lifecycle smoke.
+# comparison plus the scale-0.5 render against results/, the energy
+# profiler gate, the hswsimd server lifecycle smoke, and the pprof
+# decoder fuzz smoke.
 ci:
-	@echo "==> ci step 1/9: vet"
+	@echo "==> ci step 1/10: vet"
 	@$(MAKE) --no-print-directory vet || { echo "ci: gate 'vet' failed — go vet ./... reported issues" >&2; exit 1; }
-	@echo "==> ci step 2/9: errgate"
+	@echo "==> ci step 2/10: errgate"
 	@$(MAKE) --no-print-directory errgate || { echo "ci: gate 'errgate' failed — discarded call result outside tests" >&2; exit 1; }
-	@echo "==> ci step 3/9: tracegate"
+	@echo "==> ci step 3/10: tracegate"
 	@$(MAKE) --no-print-directory tracegate || { echo "ci: gate 'tracegate' failed — raw trace.Buffer use outside internal/trace" >&2; exit 1; }
-	@echo "==> ci step 4/9: race-full"
+	@echo "==> ci step 4/10: race-full"
 	@$(MAKE) --no-print-directory race || { echo "ci: gate 'race-full' failed — data race or test failure under -race" >&2; exit 1; }
-	@echo "==> ci step 5/9: bench smoke"
+	@echo "==> ci step 5/10: bench smoke"
 	@$(MAKE) --no-print-directory bench || { echo "ci: gate 'bench' failed — a benchmark harness no longer runs" >&2; exit 1; }
-	@echo "==> ci step 6/9: bench-compare"
+	@echo "==> ci step 6/10: bench-compare"
 	@$(MAKE) --no-print-directory bench-compare || { echo "ci: gate 'bench-compare' failed — perf regression against BENCH_sim.json" >&2; exit 1; }
-	@echo "==> ci step 7/9: golden"
+	@echo "==> ci step 7/10: golden"
 	@$(MAKE) --no-print-directory golden || { echo "ci: gate 'golden' failed — serial vs parallel output diverged or the scale-0.5 render drifted from results/" >&2; exit 1; }
-	@echo "==> ci step 8/9: eprofgate"
+	@echo "==> ci step 8/10: eprofgate"
 	@$(MAKE) --no-print-directory eprofgate || { echo "ci: gate 'eprofgate' failed — energy profile broke stdout identity or attribution totals" >&2; exit 1; }
-	@echo "==> ci step 9/9: serve-smoke"
+	@echo "==> ci step 9/10: serve-smoke"
 	@$(MAKE) --no-print-directory serve-smoke || { echo "ci: gate 'serve-smoke' failed — hswsimd lifecycle (health/coalesce/drain) broke" >&2; exit 1; }
+	@echo "==> ci step 10/10: fuzz"
+	@$(MAKE) --no-print-directory fuzz || { echo "ci: gate 'fuzz' failed — eprof.Parse panicked or returned neither profile nor error" >&2; exit 1; }
 	@echo "ci: all gates passed"

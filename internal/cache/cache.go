@@ -183,9 +183,6 @@ type memoKey struct {
 	key     uint64
 }
 
-// Reset empties the memo, keeping its storage.
-func (mm *Memo) Reset() { mm.keys = mm.keys[:0] }
-
 // SolveMemoized is Solve reusing mm's pass-1 results (hot path). A
 // slot whose core, frequency, threads and nonzero key match the
 // previous solve at an unchanged uncore clock keeps its pass-1 result;

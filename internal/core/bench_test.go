@@ -102,9 +102,9 @@ func BenchmarkSystemFork(b *testing.B) {
 }
 
 // BenchmarkSystemForkedSweepPoint is one full sweep point as the
-// converted experiments run it: fork the warm parent, change the
-// operating point, advance a millisecond of virtual time, release the
-// child back to the free list (the production forkMap path).
+// converted experiments run it (the production forkMap path): fork the
+// warm parent, change the operating point, advance a millisecond of
+// virtual time, then drop the child.
 func BenchmarkSystemForkedSweepPoint(b *testing.B) {
 	sys := benchSystem(b)
 	spec := sys.Spec()
@@ -117,24 +117,6 @@ func BenchmarkSystemForkedSweepPoint(b *testing.B) {
 		}
 		child.SetPStateAll(spec.MinMHz)
 		child.Run(sim.Millisecond)
-		child.Release()
-	}
-}
-
-// BenchmarkSystemForkRelease measures the steady-state fork cost when
-// children are returned to the free list after each sweep point — the
-// pooled path, which reuses the released child's engine, socket/core
-// slabs and MSR device instead of allocating fresh ones.
-func BenchmarkSystemForkRelease(b *testing.B) {
-	sys := benchSystem(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		child, err := sys.Fork()
-		if err != nil {
-			b.Fatal(err)
-		}
-		child.Release()
 	}
 }
 

@@ -118,7 +118,6 @@ func TestEnergyProfileForkIsolation(t *testing.T) {
 		t.Fatalf("child accumulation leaked into parent: %.12f -> %.12f", parentBefore, got)
 	}
 	delta := ccol.DeltaFrom(col)
-	child.Release()
 	if len(delta) == 0 {
 		t.Fatal("child delta is empty")
 	}

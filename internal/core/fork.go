@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 	"unsafe"
 
@@ -11,71 +10,6 @@ import (
 	"hswsim/internal/sim"
 )
 
-// forkPool is the tree-wide free list of released fork children. One
-// pool is created per root system and shared (by pointer) with every
-// fork, so any released child's storage — engine, socket/core slabs,
-// MSR device — can be recycled by the next Fork anywhere in the tree.
-//
-// A plain mutex-guarded slice rather than a sync.Pool: reuse must be
-// deterministic (tests assert a released child is reused, and the GC
-// must not silently drop warm storage between sweep points).
-type forkPool struct {
-	mu   sync.Mutex
-	free []*System
-}
-
-// forkPoolMax bounds the free list; children released beyond it are
-// left to the GC.
-const forkPoolMax = 256
-
-func (p *forkPool) get() *System {
-	p.mu.Lock()
-	var c *System
-	if n := len(p.free); n > 0 {
-		c = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-	}
-	p.mu.Unlock()
-	return c
-}
-
-// getN pops up to max released children in one lock acquisition.
-func (p *forkPool) getN(dst []*System, max int) int {
-	p.mu.Lock()
-	n := len(p.free)
-	if n > max {
-		n = max
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = p.free[len(p.free)-1-i]
-		p.free[len(p.free)-1-i] = nil
-	}
-	p.free = p.free[:len(p.free)-n]
-	p.mu.Unlock()
-	return n
-}
-
-func (p *forkPool) put(c *System) {
-	p.mu.Lock()
-	if len(p.free) < forkPoolMax {
-		p.free = append(p.free, c)
-	}
-	p.mu.Unlock()
-}
-
-// Release returns a forked system's storage to the tree's child free
-// list so a subsequent Fork can recycle it instead of allocating. Only
-// fork children are poolable; calling Release on a root system is a
-// no-op. The caller must not touch the system afterwards — the next
-// Fork may overwrite it wholesale.
-func (s *System) Release() {
-	if s.releaseTo == nil {
-		return
-	}
-	s.releaseTo.put(s)
-}
-
 // Fork produces an independent copy of the platform whose future
 // evolution is bitwise-identical to continuing the original: same
 // virtual clock, same event tie-break order, same RNG streams, same
@@ -83,17 +17,16 @@ func (s *System) Release() {
 // operations applied to each — the foundation for running sweep points
 // concurrently from one warmed-up platform.
 //
-// Mechanically, a fork is one cow.Bump plus struct copies: every
-// component is embedded by value in its socket/core shell, and the
-// remaining internal slices and maps (trace rings, meter samples, PCU
+// Mechanically, a fork is one cow.Bump plus struct copies into fresh
+// child storage: every component is embedded by value in its
+// socket/core shell, and the remaining internal slices and maps
+// (p-state transition rings, trace rings, meter samples, PCU
 // bookkeeping, the MSR register file) are stamped with a fork
-// generation and copied lazily by the first write on either side.
-// P-state transition rings and residency bins are instead privatized
-// eagerly into storage harvested from the recycled child — that
-// eager-privatization invariant is what makes harvesting sound (every
-// pooled child's backing is private by induction), and it is what
-// makes steady-state fork/Release cycles nearly allocation-free. The
-// pending platform timers (per-socket PCU grid tick, meter sample,
+// generation and copied lazily by the first write on either side. Only
+// the residency bins are copied eagerly, and each socket's private
+// integration scratch starts empty. The child owns what it allocates
+// and nothing else; it is reclaimed by the GC like any other value.
+// The pending platform timers (per-socket PCU grid tick, meter sample,
 // in-flight p-state completions) are re-created declaratively on the
 // child engine with their original (time, sequence) coordinates
 // through the closure-free Handler path, so re-arming allocates
@@ -106,42 +39,25 @@ func (s *System) Release() {
 // pending returns an error.
 //
 // On an integrated parent (which any quiescent system is — every Run /
-// RunUntil ends with an integrateTo) Fork leaves the parent read-only
-// except for the lock-protected child free list, so many goroutines may
-// fork the same parent concurrently.
+// RunUntil ends with an integrateTo) Fork leaves the parent read-only,
+// so many goroutines may fork the same parent concurrently.
 func (s *System) Fork() (*System, error) {
-	start := time.Now()
-	if err := s.forkPrep(); err != nil {
+	out, err := s.ForkN(1)
+	if err != nil {
 		return nil, err
 	}
-	n := s.pool.get()
-	reused := n != nil
-	if !reused {
-		n = s.newChildShells(1)[0]
-	}
-	// One generation bump freezes every copy-on-write backing shared
-	// below; individual Clone calls bump again, which is harmless.
-	cow.Bump()
-	s.populateFork(n, reused)
-
-	if reused {
-		obs.CoreForkReuse.Inc()
-	}
-	obs.CoreForkBytes.Add(s.forkCopiedBytes())
-	obs.CoreForkWall.Observe(time.Since(start).Nanoseconds())
-	return n, nil
+	return out[0], nil
 }
 
-// ForkN forks count children in one batch: recycled children are
-// drained from the free list in one lock acquisition, the remainder's
-// shells are slab-allocated together (one System/Socket/Core slab each
-// for the whole batch instead of per-child allocations), and a single
+// ForkN forks count children in one batch: their shells are
+// slab-allocated together (one System/Socket/Core slab each for the
+// whole batch instead of per-child allocations), and a single
 // generation bump covers every child — one global-counter increment
 // per batch rather than per fork, with identical copy-on-write
 // semantics, since any bump stales every sharer and each first writer
 // copies out privately regardless of how many siblings the bump
 // created. This is the fan-out path for fleet-scale forking (see
-// internal/fleet); for a single child it is equivalent to Fork.
+// internal/fleet); for a single child it is Fork.
 func (s *System) ForkN(count int) ([]*System, error) {
 	if count <= 0 {
 		return nil, nil
@@ -150,17 +66,12 @@ func (s *System) ForkN(count int) ([]*System, error) {
 	if err := s.forkPrep(); err != nil {
 		return nil, err
 	}
-	out := make([]*System, count)
-	reusedN := s.pool.getN(out, count)
-	if reusedN < count {
-		copy(out[reusedN:], s.newChildShells(count-reusedN))
-	}
+	out := s.newChildShells(count)
+	// One generation bump freezes every copy-on-write backing shared
+	// below; individual Clone calls bump again, which is harmless.
 	cow.Bump()
-	for i, n := range out {
-		s.populateFork(n, i < reusedN)
-	}
-	if reusedN > 0 {
-		obs.CoreForkReuse.Add(int64(reusedN))
+	for _, n := range out {
+		s.populateFork(n)
 	}
 	obs.CoreForkBytes.Add(s.forkCopiedBytes() * int64(count))
 	obs.CoreForkWall.Observe(time.Since(start).Nanoseconds())
@@ -198,14 +109,11 @@ func (s *System) forkPrep() error {
 	return nil
 }
 
-// newChildShells bulk-allocates count fresh child skeletons: the
-// System/Socket/Core structs and their pointer slices come from one
-// slab each for the whole batch, so a 1000-child fan-out costs six
-// slice allocations plus per-child MSR devices instead of six
-// allocations per child. Pool membership guarantees shape — the pool
-// is only reachable from forks of this root, so a pooled child always
-// has this root's socket/core geometry and layout; shells built here
-// enter the pool on Release and uphold the same guarantee.
+// newChildShells bulk-allocates count fresh child skeletons with this
+// system's socket/core geometry: the System/Socket/Core structs and
+// their pointer slices come from one slab each for the whole batch, so
+// a 1000-child fan-out costs six slice allocations plus per-child MSR
+// devices instead of six allocations per child.
 func (s *System) newChildShells(count int) []*System {
 	nsk := len(s.sockets)
 	totalCores := 0
@@ -240,45 +148,25 @@ func (s *System) newChildShells(count int) []*System {
 	return out
 }
 
-// populateFork overwrites child n (a recycled pooled child or a fresh
-// shell) with a fork of s. The caller must have run forkPrep and
-// cow.Bump first; one bump may cover a whole batch of populate calls.
-func (s *System) populateFork(n *System, reused bool) {
-	var eng *sim.Engine
-	if reused {
-		eng = n.Engine
-		eng.ResetToFork(s.Engine)
-	} else {
-		eng = s.Engine.Fork()
-	}
-	sockets := n.sockets
-	device := n.msrDev
-	// Harvest the old child's private System-level scratch before the
-	// overwrite (nil on a fresh shell; refreshPackageStates rewrites it
-	// through a cap check before any read).
-	statesBuf := n.statesBuf
-
+// populateFork overwrites the fresh shell n with a fork of s. The
+// caller must have run forkPrep and cow.Bump first; one bump may cover
+// a whole batch of populate calls.
+func (s *System) populateFork(n *System) {
 	*n = System{
-		Engine:        eng,
+		Engine:        s.Engine.Fork(),
 		cfg:           s.cfg,
-		sockets:       sockets,
+		sockets:       n.sockets,
 		mlay:          s.mlay,
-		msrDev:        device,
+		msrDev:        n.msrDev,
 		meter:         s.meter, // sample history COW (stale after the Bump)
 		rng:           s.rng,
 		lastIntegrate: s.lastIntegrate,
 		acJoules:      s.acJoules,
 		lastACPower:   s.lastACPower,
 		epb:           s.epb,
-		pool:          s.pool,
-		releaseTo:     s.pool,
-		statesBuf:     statesBuf,
 		trace:         s.trace.Clone(),
 		eprof:         s.eprof.Fork(),
 		raplJoules:    s.raplJoules,
-	}
-	if reused {
-		s.msrDev.ForkInto(device, n)
 	}
 	// The cloned collector carries the parent's cumulative counters;
 	// baseline the child's flush marks there so the child reports only
@@ -325,87 +213,49 @@ func (s *System) forkCopiedBytes() int64 {
 	return b
 }
 
-// forkInto clones this socket onto child-system storage with a struct
+// forkInto clones this socket onto the child shell nk with a struct
 // copy plus fixups. Immutable structure (spec, topology, cache/IMC
 // model) is shared by pointer; slice-backed component state rides the
-// copy as stale copy-on-write shares, except for the residency slab
-// and the p-state transition rings, which are privatized eagerly into
-// storage harvested from the recycled child. Eager privatization on
-// every fork is what makes the harvest sound: by induction every
-// pooled child's backing is private, so reusing it can never touch a
-// live sibling. The child starts with the integration memo
+// copy as stale copy-on-write shares, except for the residency slab,
+// which is copied eagerly so the per-segment add() path needs no
+// barrier. The child's integration scratch starts empty and its memo
 // invalidated — its first segment runs the full path, which the replay
 // contract guarantees is bit-for-bit identical to replaying the
 // dropped memo.
 func (sk *Socket) forkInto(nk *Socket, sys *System) {
-	cores := nk.cores // preserve the child's own core storage
-	// Harvest the old child's private backings before the struct copy
-	// overwrites the pointers. All of these are private to the old
-	// child by construction: the scratch buffers and memo slices are
-	// (re)allocated by the child's own integration after forkInto nils
-	// or rewrites them, and the residency slab is seated below.
-	residSlab := nk.residSlab
-	oldMemo := nk.memo
-	eplanEntries := nk.eplan.Detach()
-	loadsBuf, coresBuf, statesBuf, telCores :=
-		nk.loadsBuf, nk.coresBuf, nk.statesBuf, nk.telCores
-	solveMemo := nk.solveMemo
-
+	cores := nk.cores // the shell's own core storage
 	*nk = *sk
 	nk.sys = sys
 	nk.cores = cores
 	// Events belong to the parent engine; Fork re-arms them explicitly.
 	nk.tickEv = sim.EventID{}
-	// Scratch and memo state is private, not COW: reseat the harvested
-	// old-child storage in place of the parent's. Every one of these is
-	// rewritten through a cap check before its first read (the memo via
-	// ComputeMemoized on the forced-full first segment), so stale
-	// contents are unreachable.
+	// Scratch and memo state is private, not COW: drop the parent's
+	// backings wholesale. The attribution plan in it points at the
+	// parent collector's buckets; opDirty forces a rebuild before the
+	// first Apply.
+	nk.socketScratch = socketScratch{}
+	nk.Power.ResetScratch()
 	nk.opDirty = true
 	nk.segValid = false
-	nk.memo = oldMemo
-	// The attribution plan points at the parent collector's buckets and
-	// is invalid in the child (opDirty forces a rebuild before the first
-	// Apply); reseat the harvested private backing.
-	nk.eplan.Attach(eplanEntries)
-	nk.Power.ResetScratch()
-	nk.loadsBuf, nk.coresBuf, nk.statesBuf, nk.telCores =
-		loadsBuf, coresBuf, statesBuf, telCores
-	// The harvested solve memo is keyed by the old child's profile
-	// stamps, which the child's counter (restarting from the parent's)
-	// will issue again for other profiles: empty it.
-	solveMemo.Reset()
-	nk.solveMemo = solveMemo
-	// The harvested load entries are the old child's: rebuild them on
-	// the first full segment rather than refreshing them in place.
+	// Rebuild the load entries on the first full segment rather than
+	// refreshing them in place.
 	nk.loadsStale = true
-	// The harvested telemetry buffer holds the old child's values, not
-	// the parent's: force a rebuild on the child's first grid tick.
+	// The emptied telemetry buffer holds none of the parent's values:
+	// force a rebuild on the child's first grid tick.
 	nk.telBuilt = 0
 	// Forked sockets count their own integration segments from zero.
 	nk.statReplay, nk.statFull = 0, 0
 	nk.statReplayFlushed, nk.statFullFlushed = 0, 0
 
-	// Residency: one contiguous slab per socket, eagerly copied from
-	// the parent so the per-segment add() path needs no barrier.
 	bins := residencyBins(sk.Spec)
-	need := len(cores) * bins
-	if cap(residSlab) >= need {
-		residSlab = residSlab[:need]
-	} else {
-		residSlab = make([]sim.Time, need)
-	}
-	nk.residSlab = residSlab
-
+	nk.residSlab = make([]sim.Time, len(cores)*bins)
 	for j, c := range sk.cores {
 		nc := cores[j]
-		ring := nc.dom.DetachLog() // old child's private ring storage
 		*nc = *c
 		nc.sk = nk
 		nc.completeEv = sim.EventID{}
-		seg := residSlab[j*bins : (j+1)*bins : (j+1)*bins]
+		seg := nk.residSlab[j*bins : (j+1)*bins : (j+1)*bins]
 		copy(seg, c.resid.pstate)
 		nc.resid.pstate = seg
-		nc.dom.ForkLogInto(ring)
 	}
 }

@@ -285,143 +285,113 @@ func TestForkGrandchildBitwise(t *testing.T) {
 	}
 }
 
-func TestForkReleaseReuse(t *testing.T) {
-	warm := func(s *System) {
-		if err := s.AssignKernel(0, workload.Firestarter(), 2); err != nil {
-			t.Fatal(err)
+// scratchBackings records the address range of the backing array of
+// every slice reachable through v's struct fields (pointers are not
+// followed), keyed by field path; an empty slice records a zero range.
+func scratchBackings(v reflect.Value, path string, out map[string][2]uintptr) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			scratchBackings(v.Field(i), path+"."+v.Type().Field(i).Name, out)
 		}
-		s.Run(40 * sim.Millisecond)
-	}
-	sys := forkScenario(t, warm)
-
-	// Reference: a never-released child.
-	ref, err := sys.Fork()
-	if err != nil {
-		t.Fatalf("Fork: %v", err)
-	}
-	ref.Run(120 * sim.Millisecond)
-	want := fingerprint(t, ref)
-
-	// Release a child, then fork again: the free list is deterministic
-	// (mutex-guarded slice, not sync.Pool), so the released storage MUST
-	// come back — and the recycled child must evolve identically.
-	c1, err := sys.Fork()
-	if err != nil {
-		t.Fatalf("Fork: %v", err)
-	}
-	c1.Release()
-	c2, err := sys.Fork()
-	if err != nil {
-		t.Fatalf("Fork: %v", err)
-	}
-	if c2 != c1 {
-		t.Fatal("fork after Release did not reuse the released child's storage")
-	}
-	c2.Run(120 * sim.Millisecond)
-	if got := fingerprint(t, c2); !reflect.DeepEqual(got, want) {
-		t.Errorf("reused child diverged from a fresh child:\nreused: %+v\nfresh:  %+v", got, want)
-	}
-
-	// Release on a root system is a no-op: roots are not poolable.
-	c2.Release()
-	sys.Release()
-	if got := len(sys.pool.free); got != 1 {
-		t.Fatalf("pool holds %d systems after root Release, want 1 (the child only)", got)
+	case reflect.Slice:
+		start := v.Pointer()
+		out[path] = [2]uintptr{start, start + uintptr(v.Cap())*v.Type().Elem().Size()}
 	}
 }
 
-// TestForkReuseAfterReassign recycles a child that ran different
-// kernels on the same active cores: the recycled child's harvested
-// load entries hold those kernels' profiles, and must not leak into
-// the next fork's first segment.
-func TestForkReuseAfterReassign(t *testing.T) {
-	sys := forkScenario(t, func(s *System) {
-		for cpu := 0; cpu < 12; cpu++ {
-			if err := s.AssignKernel(cpu, workload.Firestarter(), 1); err != nil {
-				t.Fatal(err)
+// systemScratch collects the backings of a system's private,
+// non-copy-on-write storage: its own and every socket's scratch, and
+// the residency slabs.
+func systemScratch(s *System) map[string][2]uintptr {
+	out := map[string][2]uintptr{}
+	scratchBackings(reflect.ValueOf(s.statesBuf), "System.statesBuf", out)
+	for i, sk := range s.sockets {
+		p := fmt.Sprintf("socket%d", i)
+		scratchBackings(reflect.ValueOf(sk.socketScratch), p, out)
+		scratchBackings(reflect.ValueOf(sk.residSlab), p+".residSlab", out)
+	}
+	return out
+}
+
+// checkOwnsScratch fails if any private scratch slice of child overlaps
+// any of parent's.
+func checkOwnsScratch(t *testing.T, when string, parent, child *System) {
+	t.Helper()
+	pb := systemScratch(parent)
+	for cpath, c := range systemScratch(child) {
+		for ppath, p := range pb {
+			if c[0] < c[1] && p[0] < p[1] && c[0] < p[1] && p[0] < c[1] {
+				t.Errorf("%s: child %s shares its backing array with parent %s", when, cpath, ppath)
 			}
 		}
-		s.Run(20 * sim.Millisecond)
-	})
-	c1, err := sys.Fork()
-	if err != nil {
-		t.Fatalf("Fork: %v", err)
-	}
-	for cpu := 0; cpu < 12; cpu++ {
-		if err := c1.AssignKernel(cpu, workload.Memory(), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c1.Run(5 * sim.Millisecond)
-	c1.Release()
-	reused, err := sys.Fork()
-	if err != nil {
-		t.Fatalf("Fork: %v", err)
-	}
-	if reused != c1 {
-		t.Fatal("fork after Release did not reuse the released child's storage")
-	}
-	fresh, err := sys.Fork()
-	if err != nil {
-		t.Fatalf("Fork: %v", err)
-	}
-	reused.Run(5 * sim.Millisecond)
-	fresh.Run(5 * sim.Millisecond)
-	if got, want := fingerprint(t, reused), fingerprint(t, fresh); !reflect.DeepEqual(got, want) {
-		t.Errorf("reused child diverged from a fresh child:\nreused: %+v\nfresh:  %+v", got, want)
 	}
 }
 
-// TestForkReuseStaleSolveMemo recycles a child whose cache-solver memo
-// holds results keyed by profile stamps the next child issues again:
-// both lives assign a kernel to every core of socket 0 at the fork
-// instant, so the first new evaluation gets the same stamp, the same
-// cores, frequencies and uncore clock — only the profile differs. The
-// recycled child must solve afresh and match a fresh child.
-func TestForkReuseStaleSolveMemo(t *testing.T) {
+// TestForkChildOwnsScratch requires every fork child to start with
+// scratch storage of its own: none of its private integration buffers,
+// memos or residency bins may alias the parent's, before or after
+// either side runs a full segment, and a child must still evolve
+// exactly like its parent.
+func TestForkChildOwnsScratch(t *testing.T) {
 	sys := forkScenario(t, func(s *System) {
-		for cpu := 0; cpu < 12; cpu++ {
-			if err := s.AssignKernel(cpu, workload.Compute(), 1); err != nil {
-				t.Fatal(err)
+		for cpu := 0; cpu < s.CPUs(); cpu += 3 {
+			k := workload.MemStream()
+			if cpu%2 == 0 {
+				k = workload.Firestarter()
 			}
-		}
-		s.Run(20 * sim.Millisecond)
-	})
-	assign := func(s *System, k workload.Kernel) {
-		for cpu := 0; cpu < 12; cpu++ {
 			if err := s.AssignKernel(cpu, k, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
+		s.EnableEnergyProfile("scratch")
+		s.Run(20 * sim.Millisecond)
+	})
+	// The check is only as strong as the parent's scratch is populated.
+	for path, r := range systemScratch(sys) {
+		if r[0] == r[1] {
+			t.Fatalf("parent %s is empty; the scenario must populate every scratch slice", path)
+		}
 	}
-	c1, err := sys.Fork()
+	child, err := sys.Fork()
 	if err != nil {
 		t.Fatalf("Fork: %v", err)
 	}
-	assign(c1, workload.MemStream())
-	c1.Run(100 * sim.Microsecond)
-	c1.Release()
-	reused, err := sys.Fork()
+	batch, err := sys.ForkN(2)
 	if err != nil {
-		t.Fatalf("Fork: %v", err)
+		t.Fatalf("ForkN: %v", err)
 	}
-	if reused != c1 {
-		t.Fatal("fork after Release did not reuse the released child's storage")
+	children := append([]*System{child}, batch...)
+	for i, c := range children {
+		checkOwnsScratch(t, fmt.Sprintf("child %d after fork", i), sys, c)
 	}
-	fresh, err := sys.Fork()
-	if err != nil {
-		t.Fatalf("Fork: %v", err)
-	}
-	for _, s := range []*System{reused, fresh} {
-		assign(s, workload.L3Stream())
+
+	// Each side first continues unchanged, through grid ticks that read
+	// the telemetry cache, then takes a new operating point, which
+	// forces a full segment that rewrites the parent's scratch in place
+	// before any child has run.
+	step := func(s *System) {
+		s.Run(2 * sim.Millisecond)
+		s.SetPStateAll(s.Spec().MinMHz)
 		s.Run(5 * sim.Millisecond)
 	}
-	if got, want := fingerprint(t, reused), fingerprint(t, fresh); !reflect.DeepEqual(got, want) {
-		t.Errorf("reused child diverged from a fresh child:\nreused: %+v\nfresh:  %+v", got, want)
+	step(sys)
+	for i, c := range children {
+		checkOwnsScratch(t, fmt.Sprintf("child %d after the parent's full segment", i), sys, c)
+	}
+	want := fingerprint(t, sys)
+	for i, c := range children {
+		step(c)
+		checkOwnsScratch(t, fmt.Sprintf("child %d after its own full segment", i), sys, c)
+		if got := fingerprint(t, c); !reflect.DeepEqual(got, want) {
+			t.Errorf("child %d diverged from its parent:\nchild:  %+v\nparent: %+v", i, got, want)
+		}
 	}
 }
 
-func TestForkReleaseConcurrentStress(t *testing.T) {
+// TestForkConcurrentStress forks one parent from many goroutines at
+// once; every child must run to the same result as a reference child.
+func TestForkConcurrentStress(t *testing.T) {
 	sys := forkScenario(t, func(s *System) {
 		for cpu := 0; cpu < s.CPUs(); cpu += 4 {
 			if err := s.AssignKernel(cpu, workload.MemStream(), 1); err != nil {
@@ -471,7 +441,6 @@ func TestForkReleaseConcurrentStress(t *testing.T) {
 					errc <- fmt.Errorf("iteration %d: child diverged:\ngot  %s\nwant %s", i, got, want)
 					return
 				}
-				child.Release()
 			}
 			errc <- nil
 		}()

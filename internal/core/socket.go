@@ -45,8 +45,8 @@ type Socket struct {
 	// contiguous allocation (cores × residencyBins, subsliced with full
 	// capacity caps per core). It is always private to this socket:
 	// newSocket allocates it and forkInto eagerly copies the parent's
-	// slab into the child's own (recycled) one, which is what lets the
-	// residency add() hot path skip any copy-on-write barrier.
+	// slab into a new one, which is what lets the residency add() hot
+	// path skip any copy-on-write barrier.
 	residSlab []sim.Time
 	pkgCState cstate.PkgState
 	// prevDeepState/leftDeepAt track a just-exited package sleep state
@@ -76,7 +76,6 @@ type Socket struct {
 	// re-solving the memory hierarchy and power model.
 	opDirty   bool
 	segValid  bool
-	memo      power.ComputeMemo
 	segEV     rapl.ModelInputs
 	segDRAMW  float64
 	segUncGHz float64
@@ -89,24 +88,7 @@ type Socket struct {
 	statReplay, statFull               uint64
 	statReplayFlushed, statFullFlushed uint64
 
-	// eplan is the energy profiler's attribution plan for the memoized
-	// segment: one prebuilt (bucket, rate) entry per power-model term,
-	// rebuilt alongside the memo on full segments and executed on every
-	// segment (see rebuildEplan). Only populated while System.eprof is
-	// armed; its backing array is harvested/reseated by forkInto like
-	// the other scratch buffers.
-	eplan eprof.Plan
-
-	// Scratch buffers for the per-segment integration (hot path).
-	loadsBuf  []cache.CoreLoad
-	coresBuf  []*Core
-	statesBuf []power.CoreState
-	telCores  []pcu.CoreTelemetry
-	// solveMemo keeps the cache solver's per-core results between full
-	// segments, keyed by each load's profile stamp (Core.loadGen). The
-	// stamps are unique only within this socket's life, so forkInto
-	// hands the child its own harvested memo, emptied.
-	solveMemo cache.Memo
+	socketScratch
 	// loadsStale forces integrateFull to rebuild loadsBuf from scratch:
 	// a kernel assignment can change a core's profile without changing
 	// the active set, which is what the in-place refresh keys on.
@@ -121,8 +103,8 @@ type Socket struct {
 	// slice is reused as-is and the PCU is told so
 	// (Telemetry.Unchanged), skipping both the rebuild and the PCU's own
 	// per-core comparison. telBuilt == 0 means never built (versions
-	// start at 1); forkInto resets it because the harvested child
-	// buffer holds stale contents.
+	// start at 1); forkInto resets it because the child's telemetry
+	// buffer starts empty.
 	telVersion uint64
 	telBuilt   uint64
 	telUntil   sim.Time
@@ -131,6 +113,30 @@ type Socket struct {
 
 	// profGen stamps core profile evaluations (Core.profGen).
 	profGen uint64
+}
+
+// socketScratch is a socket's private integration state: the memoized
+// segment and the buffers the integration paths rewrite before reading.
+// None of it is copy-on-write, so a fork must not share any of it with
+// its parent; forkInto resets the whole struct in one assignment.
+type socketScratch struct {
+	memo power.ComputeMemo
+	// eplan is the energy profiler's attribution plan for the memoized
+	// segment: one prebuilt (bucket, rate) entry per power-model term,
+	// rebuilt alongside the memo on full segments and executed on every
+	// segment (see rebuildEplan). Only populated while System.eprof is
+	// armed.
+	eplan eprof.Plan
+
+	loadsBuf  []cache.CoreLoad
+	coresBuf  []*Core
+	statesBuf []power.CoreState
+	telCores  []pcu.CoreTelemetry
+	// solveMemo keeps the cache solver's per-core results between full
+	// segments, keyed by each load's profile stamp (Core.loadGen). The
+	// stamps are unique only within this socket's life, so a fork
+	// starts with an empty memo.
+	solveMemo cache.Memo
 }
 
 // telChanged invalidates the cached per-core telemetry.

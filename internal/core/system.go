@@ -119,14 +119,6 @@ type System struct {
 
 	epb pcu.EPB
 
-	// pool is the tree-wide free list of released fork children (shared
-	// by every fork of one root); releaseTo is where Release returns
-	// this system's storage — nil for a root system, the tree's pool
-	// for a fork child. Held by pointer so a System struct copy carries
-	// no mutex.
-	pool      *forkPool
-	releaseTo *forkPool
-
 	// meterEv identifies the meter's periodic sample event so Fork can
 	// re-arm it declaratively on the child engine.
 	meterEv sim.EventID
@@ -268,7 +260,6 @@ func NewSystem(cfg Config) (*System, error) {
 	s.mlay = buildMSRLayout(cfg.Spec, s.CPUs(), cfg.Sockets)
 	s.msrDev = s.mlay.lay.Device(s)
 	s.mlay.initFile(s.msrDev, cfg.Spec, s.CPUs(), cfg.Sockets)
-	s.pool = &forkPool{}
 
 	// Arm the PCU grids (jittered, per-socket phase) and the meter.
 	for _, sk := range s.sockets {

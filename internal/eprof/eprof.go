@@ -168,21 +168,6 @@ type Plan struct {
 // (SyncPlan) has already flushed the pending integrals.
 func (p *Plan) Reset() { p.entries = p.entries[:0] }
 
-// Detach returns the plan's private backing and empties the plan —
-// core.Socket fork harvesting (the recycled child's entries array is
-// private by construction and must not be shared with the parent).
-func (p *Plan) Detach() []PlanEntry {
-	e := p.entries
-	p.entries = nil
-	return e
-}
-
-// Attach reseats harvested backing and zeroes everything else: a
-// freshly forked socket starts with no pending integrals (the
-// parent's pending stays with the parent) and no collector
-// registration (the child re-registers on its first plan rebuild).
-func (p *Plan) Attach(entries []PlanEntry) { *p = Plan{entries: entries[:0]} }
-
 // AddConst appends a fixed-watts entry.
 func (p *Plan) AddConst(bucket int32, watts float64) {
 	p.entries = append(p.entries, PlanEntry{bucket: bucket, constW: watts})

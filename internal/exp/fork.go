@@ -14,21 +14,14 @@ import (
 // keeps rendered output byte-identical to a serial sweep.
 //
 // The parent must be quiescent (only platform timers pending) and is
-// never mutated beyond its lock-protected child free list: System.Fork
-// is otherwise read-only on an integrated platform, so any number of
-// points may fork it at once.
-//
-// Each point's child is Released back to the parent's free list once fn
-// returns, so a sweep recycles a handful of children across all its
-// points instead of allocating one platform per point. fn must
-// therefore not retain the *System (or pointers into it) past its
-// return — every point callback in this package extracts plain result
-// values, which is what makes the release safe.
+// never mutated: System.Fork is read-only on an integrated platform, so
+// any number of points may fork it at once. Each point's child is
+// dropped once fn returns.
 func forkMap[T, R any](parent *core.System, items []T, fn func(*core.System, T) (R, error)) ([]R, error) {
 	pep := parent.EnergyProfile()
 	// deltas[i] is point i's energy-profile accumulation, extracted
-	// from the child's COW-cloned collector before release and merged
-	// back after the barrier — in point order, so the parent profile is
+	// from the child's COW-cloned collector and merged back after the
+	// barrier — in point order, so the parent profile is
 	// byte-identical to a serial sweep no matter how the points
 	// interleaved. Points are dispatched by index so each knows its
 	// merge slot.
@@ -50,7 +43,6 @@ func forkMap[T, R any](parent *core.System, items []T, fn func(*core.System, T) 
 		if pep != nil {
 			deltas[i] = sys.EnergyProfile().DeltaFrom(pep)
 		}
-		sys.Release()
 		return r, ferr
 	})
 	if pep != nil && err == nil {

@@ -6,15 +6,14 @@ import (
 	"hswsim/internal/sim"
 )
 
-// benchNodes is the per-op fleet size of the fork benchmark: small
-// enough that released children fit the fork free list, so the
-// steady-state iteration measures the pooled fan-out path.
+// benchNodes is the fleet size of the benchmarks, the same 64 nodes as
+// the end-to-end fleet workload (e2ebench).
 const benchNodes = 64
 
 // BenchmarkFleetFork measures one full fleet fan-out and teardown:
-// ForkN of 64 varied nodes from the warmed parent (recycled from the
-// free list after the first iteration), variation overlays, power
-// caps, release. Nodes forked per second is ns/op⁻¹ × 64.
+// ForkN of 64 fresh varied nodes from the warmed parent, variation
+// overlays, power caps, release. Nodes forked per second is
+// ns/op⁻¹ × 64.
 func BenchmarkFleetFork(b *testing.B) {
 	parent := warmParent(b)
 	cfg := Config{Nodes: benchNodes, Seed: 0x5eed, CapW: 85, Workers: 1}

@@ -100,7 +100,6 @@ func New(parent *core.System, cfg Config) (*Fleet, error) {
 		}
 	})
 	if err := errors.Join(errs...); err != nil {
-		f.Release()
 		return nil, err
 	}
 	obs.FleetNodes.Add(int64(len(f.nodes)))
@@ -180,11 +179,6 @@ func (f *Fleet) Measure(settle, window sim.Time) []NodeResult {
 	return out
 }
 
-// Release returns every node's storage to the fork free list. The
-// fleet must not be used afterwards.
-func (f *Fleet) Release() {
-	for _, n := range f.nodes {
-		n.Release()
-	}
-	f.nodes = nil
-}
+// Release drops the fleet's node references so the GC can reclaim the
+// nodes. The fleet must not be used afterwards.
+func (f *Fleet) Release() { f.nodes = nil }

@@ -83,9 +83,9 @@ func TestFleetSerialVsParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestFleetRepeatable pins fork-pool hygiene: building the same fleet
-// twice from one parent — the second time entirely from recycled
-// children — yields identical results.
+// TestFleetRepeatable pins that forking leaves the parent undisturbed:
+// building the same fleet twice from one parent yields identical
+// results.
 func TestFleetRepeatable(t *testing.T) {
 	parent := warmParent(t)
 	cfg := Config{Nodes: 32, Seed: 0x1234, CapW: 85, Workers: 1}

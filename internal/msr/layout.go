@@ -95,23 +95,13 @@ func (d *Device) FileWords() int { return len(d.words) }
 // fork — the legacy handler map closes over one system and cannot be
 // rebound.
 func (d *Device) Fork(owner any) *Device {
-	n := &Device{}
-	d.ForkInto(n, owner)
-	return n
-}
-
-// ForkInto is Fork writing into caller-provided storage (a pooled
-// child's existing Device), for allocation-free reuse.
-func (d *Device) ForkInto(dst *Device, owner any) {
 	if d.layout == nil {
 		panic("msr: Fork of a device without a shared layout")
 	}
 	cow.Bump()
-	dst.layout = d.layout
-	dst.owner = owner
-	dst.words = d.words
-	dst.gen = d.gen // both sides stale after the Bump: either copies out on Store
-	dst.regs = nil
+	// Both sides' stamps are stale after the Bump: either copies the
+	// register file out on its next Store.
+	return &Device{layout: d.layout, owner: owner, words: d.words, gen: d.gen}
 }
 
 // LConst is a LayoutHandler for a read-only constant (same value for

@@ -21,12 +21,10 @@ var (
 	SimTickCoalesced = std.Counter("sim_tick_coalesce_joins_total",
 		"periodic arms absorbed into a shared tick group instead of an own queue slot")
 
-	// Platform forks: copy-on-write System.Fork cost and child reuse.
-	// The wall histogram is the fork latency budget gate (~10 us
-	// target); the bytes counter tracks eagerly copied state (struct
-	// shells + register file — COW backings excluded until written).
-	CoreForkReuse = std.Counter("core_fork_child_reuse_total",
-		"forks served from the released-child free list (no fresh allocation)")
+	// Platform forks: copy-on-write System.Fork cost. The wall
+	// histogram is the fork latency budget gate (~10 us target); the
+	// bytes counter tracks eagerly copied state (struct shells +
+	// register file — COW backings excluded until written).
 	CoreForkBytes = std.Counter("core_fork_copied_bytes_total",
 		"bytes copied eagerly per platform fork (shells + MSR file; COW shares excluded)")
 	CoreForkWall = std.Histogram("core_fork_wall_ns",

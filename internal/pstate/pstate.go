@@ -92,52 +92,6 @@ func (d *Domain) own() {
 	d.gen.Own()
 }
 
-// DetachLog removes and returns the domain's transition-ring backing so
-// a recycled fork child's storage can be harvested before the child is
-// overwritten. The caller must guarantee the backing is private to this
-// domain — core's fork path guarantees it by construction, because
-// ForkLogInto eagerly privatizes every child ring on every fork. After
-// DetachLog the domain is not usable until a ring is re-seated.
-func (d *Domain) DetachLog() []Transition {
-	buf := d.transitions
-	d.transitions = nil
-	return buf
-}
-
-// ForkLogInto eagerly privatizes this domain's transition ring right
-// after a fork struct copy, reusing buf's storage when its capacity
-// suffices (a harvested ring from DetachLog) and allocating otherwise.
-// The ring layout — exactly len entries, head preserved — is identical
-// to what the lazy own() barrier would build on first write, so eager
-// and lazy privatization produce bitwise-identical future evolution.
-// The point of eagerness is the induction it establishes: every fork
-// child's ring backing is private from birth, which is what makes
-// DetachLog-and-reuse sound.
-func (d *Domain) ForkLogInto(buf []Transition) {
-	n := len(d.transitions)
-	switch {
-	case n == 0:
-		// Keep harvested capacity alive through quiet domains so it is
-		// still there when this child is itself harvested. With no
-		// harvested buf, drop the backing outright: an empty source ring
-		// can still carry capacity (itself a harvest artifact), and
-		// aliasing it while owned would let both sides append into the
-		// same array.
-		if buf != nil {
-			d.transitions = buf[:0]
-		} else {
-			d.transitions = nil
-		}
-	case cap(buf) >= n:
-		d.transitions = append(buf[:0], d.transitions...)
-	default:
-		nt := make([]Transition, n)
-		copy(nt, d.transitions)
-		d.transitions = nt
-	}
-	d.gen.Own()
-}
-
 // SetLogLimit re-caps the transition ring at n entries (min 2), keeping
 // the newest entries and re-seating them in a private backing with the
 // full capacity pre-allocated, so the logging path never grows the

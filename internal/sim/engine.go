@@ -490,43 +490,6 @@ func (e *Engine) Fork() *Engine {
 	return n
 }
 
-// releaseTree releases an entry and, for a group driver, its pending
-// members — the bulk-teardown path (ResetToFork).
-func (e *Engine) releaseTree(s *scheduled) {
-	if s.members != nil {
-		for _, m := range s.members[s.mhead:] {
-			e.release(m)
-		}
-		e.releaseDriver(s)
-		return
-	}
-	e.release(s)
-}
-
-// ResetToFork empties a recycled engine and aligns its clock and
-// tie-break counter with parent — the allocation-free equivalent of
-// parent.Fork() for a child engine being reused from a free list.
-// Retired queue entries go back to the entry pool, so the subsequent
-// re-arm loop draws from it instead of allocating.
-func (e *Engine) ResetToFork(parent *Engine) {
-	obs.SimForks.Inc()
-	for len(e.cur) > 0 {
-		e.releaseTree(e.cur.pop())
-	}
-	for len(e.far) > 0 {
-		e.releaseTree(e.far.pop())
-	}
-	e.drainWheel(func(s *scheduled) { e.releaseTree(s) })
-	for i := range e.recent {
-		e.recent[i] = nil
-	}
-	e.recentPos = 0
-	e.pendingN = 0
-	e.now = parent.now
-	e.seq = parent.seq
-	e.Stepped = nil
-}
-
 // rearm builds the child-side twin of a pending parent entry.
 func (e *Engine) rearm(id EventID) *scheduled {
 	s := id.s

@@ -232,35 +232,3 @@ func (e *Engine) scanWheels(limit Time) bool {
 	e.bucketMin = min
 	return false
 }
-
-// drainWheel hands every bucketed entry to fn and empties both wheels —
-// the bulk-teardown path (ResetToFork).
-func (e *Engine) drainWheel(fn func(*scheduled)) {
-	for wi := range e.l0bits {
-		for w := e.l0bits[wi]; w != 0; w &= w - 1 {
-			slot := wi<<6 + bits.TrailingZeros64(w)
-			for s := e.l0[slot]; s != nil; {
-				next := s.next
-				s.next, s.prev = nil, nil
-				fn(s)
-				s = next
-			}
-			e.l0[slot] = nil
-		}
-		e.l0bits[wi] = 0
-	}
-	for wi := range e.l1bits {
-		for w := e.l1bits[wi]; w != 0; w &= w - 1 {
-			slot := wi<<6 + bits.TrailingZeros64(w)
-			for s := e.l1[slot]; s != nil; {
-				next := s.next
-				s.next, s.prev = nil, nil
-				fn(s)
-				s = next
-			}
-			e.l1[slot] = nil
-		}
-		e.l1bits[wi] = 0
-	}
-	e.bucketMin = maxTime
-}
